@@ -21,6 +21,7 @@ from .errors import (
     GenerationFailed,
     InstanceInfeasible,
     InvalidMode,
+    InvariantBroken,
     NotInfeasible,
     OptiloopError,
     RepairDiverged,

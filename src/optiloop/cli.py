@@ -4,8 +4,11 @@
         --strategies all_active,optiloop --seeds 0,1 --out results.csv
 
 Exit codes: 0 success, 2 scenario parse error, 3 infeasible instance,
-4 enumeration budget exceeded.  Set OPTILOOP_LOG=DEBUG|INFO|WARNING to
-control log verbosity (telemetry lines are logged at INFO).
+4 enumeration budget exceeded, 5 any other optiloop error (e.g. an instance
+too large for the built-in solver, a solver stall, a diverged repair, a
+failed generation or a broken loop invariant).  Every error exit prints one
+``error:`` line to stderr and no traceback.  Set OPTILOOP_LOG=DEBUG|INFO|WARNING
+to control log verbosity (telemetry lines are logged at INFO).
 """
 
 import argparse
@@ -13,7 +16,12 @@ import logging
 import os
 import sys
 
-from .errors import BudgetExceeded, InstanceInfeasible, ScenarioFormatError
+from .errors import (
+    BudgetExceeded,
+    InstanceInfeasible,
+    OptiloopError,
+    ScenarioFormatError,
+)
 from .metrics import ExperimentConfig, run_experiment
 from .scenario import GeneratorParams
 
@@ -21,6 +29,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
+EXIT_ERROR = 5
 
 
 def _floats(text):
@@ -121,6 +130,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except OptiloopError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

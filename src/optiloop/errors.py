@@ -58,6 +58,17 @@ class BaselineMissing(OptiloopError):
     """Metrics were requested against a missing or unusable baseline result."""
 
 
+class InvariantBroken(OptiloopError):
+    """The control loop reached a state its own construction rules out.
+
+    Raised when a phase boundary finds the current configuration violating
+    a constraint, when an accepted shutdown raised the energy at held
+    flows, or when the shutdown guidance LP of a feasible point came back
+    infeasible.  Any of these is a defect in the loop or the solver, not
+    in the instance.
+    """
+
+
 class ScenarioFormatError(OptiloopError):
     """A scenario document is malformed; carries line/column when known."""
 

@@ -18,12 +18,16 @@ Each round then runs two procedures:
   placement) with the smallest relaxed value by pinning it to 0 and
   re-solving.  A feasible probe is adopted and the hunt restarts; the
   first rejected probe ends the phase.  Deactivating a node cascades to
-  its incident links and hosted instances.
+  its incident links and hosted instances.  An adopted probe's LP is the
+  next guidance LP, so its solution guides the next probe without another
+  solve; and a phase that starts where the previous one stopped on a
+  rejected probe is skipped, since it would only repeat that rejection.
 
 Ties in the probe argmin are broken link > node > placement, then
 lexicographically.  All randomness comes from one seeded generator, so runs
 are bit-reproducible.  Each phase emits one JSON telemetry line through the
-``optiloop.loop`` logger.
+``optiloop.loop`` logger; its ``lp_solves`` counts the solves performed.
+A broken loop invariant raises ``InvariantBroken``.
 """
 
 import json
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lp
-from .errors import InstanceInfeasible, RepairDiverged
+from .errors import InstanceInfeasible, InvariantBroken, RepairDiverged
 from .iis import compute_iis
 from .model import NetworkConfiguration, energy_of, validate_configuration
 
@@ -62,6 +66,9 @@ class LoopState:
     activations: int = 0
     deactivations: int = 0
     telemetry: list = field(default_factory=list)
+    # (base_problem, x, y, delta) where the last shutdown phase stopped on a
+    # rejected probe; None when it stopped for any other reason.
+    shutdown_stop: tuple = None
 
     def count_solves(self, phase, n=1):
         self.lp_solves[phase] = self.lp_solves.get(phase, 0) + n
@@ -360,9 +367,16 @@ def save_energy(state):
     y = dict(cfg.y)
     delta = dict(cfg.delta)
     energy_before = energy_of(s, cfg).total
+    stop = state.shutdown_stop
+    if stop is not None and stop[0] is p0 and stop[1:] == (x, y, delta):
+        # No randomness below: the same start repeats the same rejection.
+        _emit(state, "save_energy", energy_before, [], [], solves=0)
+        return state
+    state.shutdown_stop = None
     deactivated = []
     solves_at_entry = state.lp_solves.get("save_energy", 0)
     guard = sum(x.values()) + sum(y.values()) + sum(delta.values()) + 2
+    guide = None
 
     for _ in range(guard):
         active_links = [lk for lk in s.link_ids() if x.get(lk, 0) == 1]
@@ -371,24 +385,27 @@ def save_energy(state):
         if not (active_links or active_nodes or deployed):
             break
 
-        modes = {}
-        for lk in s.link_ids():
-            modes[lp.VarRef("x", lk)] = (
-                lp.RELAXED if x.get(lk, 0) == 1 else lp.fixed(0)
-            )
-        for c in s.node_ids():
-            modes[lp.VarRef("y", (c,))] = (
-                lp.RELAXED if y.get(c, 0) == 1 else lp.fixed(0)
-            )
-        for pair in sorted(delta):
-            modes[lp.VarRef("delta", pair)] = (
-                lp.RELAXED if delta[pair] == 1 else lp.fixed(0)
-            )
-        relaxed_p = _guidance(lp._with_modes(p0, modes), placements="ceil")
-        guide = lp.solve(relaxed_p)
-        state.count_solves("save_energy")
-        if not guide.is_feasible:  # cannot happen for a feasible current point
-            break
+        if guide is None:
+            modes = {}
+            for lk in s.link_ids():
+                modes[lp.VarRef("x", lk)] = (
+                    lp.RELAXED if x.get(lk, 0) == 1 else lp.fixed(0)
+                )
+            for c in s.node_ids():
+                modes[lp.VarRef("y", (c,))] = (
+                    lp.RELAXED if y.get(c, 0) == 1 else lp.fixed(0)
+                )
+                for v in s.vnf_ids():
+                    modes[lp.VarRef("delta", (c, v))] = (
+                        lp.RELAXED if delta.get((c, v), 0) == 1 else lp.fixed(0)
+                    )
+            relaxed_p = _guidance(lp._with_modes(p0, modes), placements="ceil")
+            guide = lp.solve(relaxed_p)
+            state.count_solves("save_energy")
+            if not guide.is_feasible:
+                raise InvariantBroken(
+                    f"shutdown guidance LP is {guide.status} at a feasible operating point"
+                )
 
         best_link = _argmin(
             {lk: guide.values[lp.VarRef("x", lk)] for lk in active_links}
@@ -421,9 +438,11 @@ def save_energy(state):
         else:
             probe_modes[lp.VarRef("delta", target)] = lp.fixed(0)
 
-        probe = lp.solve(lp._with_modes(relaxed_p, probe_modes))
+        probe_p = lp._with_modes(relaxed_p, probe_modes)
+        probe = lp.solve(probe_p)
         state.count_solves("save_energy")
         if not probe.is_feasible:
+            state.shutdown_stop = (p0, x, y, delta)
             break
 
         before_binaries = (dict(x), dict(y), dict(delta))
@@ -443,9 +462,17 @@ def save_energy(state):
         # Holding flows at the probe's solution, removing an element can only
         # drop nonnegative terms from the energy sum.
         held = _configuration(s, *before_binaries, probe)
-        assert energy_of(s, state.current).total <= energy_of(s, held).total + 1e-9
+        after, limit = energy_of(s, state.current).total, energy_of(s, held).total
+        if after > limit + 1e-9:
+            raise InvariantBroken(
+                f"deactivating {kind} {target} raised the energy at held flows "
+                f"from {limit!r} to {after!r}"
+            )
         deactivated.append((kind, target))
         state.deactivations += 1
+        # The probe's LP is the guidance LP of the new binaries: every pinned
+        # element is fixed at 0, the rest relaxed, same objective.
+        relaxed_p, guide = probe_p, probe
 
     if deactivated:
         # The probe's flows optimize a partially relaxed problem; the enacted
@@ -474,7 +501,7 @@ def _check_invariant(state):
     violations = validate_configuration(state.scenario, state.current, tol=1e-6)
     if violations:
         worst = violations[0]
-        raise RuntimeError(
+        raise InvariantBroken(
             f"loop invariant broken: {len(violations)} violations, first {worst}"
         )
 

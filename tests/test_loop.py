@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import single_vnf_scenario
-from optiloop import lp
-from optiloop.errors import InstanceInfeasible
+from corpus import make_toy
+from optiloop import loop, lp
+from optiloop.errors import InstanceInfeasible, InvariantBroken
 from optiloop.loop import (
     LoopState,
     _assignment_modes,
     _configuration,
+    _guidance,
     fix_problems,
     initial_solution,
     run_loop,
@@ -28,6 +30,7 @@ from optiloop.model import (
     Node,
     PhysicalGraph,
     Scenario,
+    Violation,
     energy_of,
     validate_configuration,
 )
@@ -233,8 +236,111 @@ def test_zero_demand_drains_to_zero_energy():
     assert state.current.deployments() == []
 
 
+def _shutdown_guidance(p, x, y, delta):
+    """The shutdown guidance problem as the procedure documents it: active
+    binaries relaxed, the rest pinned at 0, placements steered to the ceiling."""
+    modes = {}
+    for ref in p.variables:
+        on = {"x": x, "y": y, "delta": delta}.get(ref.kind)
+        if on is not None:
+            key = ref.index[0] if ref.kind == "y" else ref.index
+            modes[ref] = lp.RELAXED if on.get(key, 0) == 1 else lp.fixed(0)
+    return _guidance(lp._with_modes(p, modes), placements="ceil")
+
+
+def test_accepted_probe_is_next_guidance_problem(monkeypatch):
+    solved = {}
+    adopted = []
+    real_solve, real_configuration = lp.solve, loop._configuration
+
+    def spy_solve(p, *args, **kwargs):
+        sol = real_solve(p, *args, **kwargs)
+        solved[id(sol)] = (p, sol)
+        return sol
+
+    def spy_configuration(s, x, y, delta, solution):
+        adopted.append((dict(x), dict(y), dict(delta), id(solution)))
+        return real_configuration(s, x, y, delta, solution)
+
+    monkeypatch.setattr(lp, "solve", spy_solve)
+    monkeypatch.setattr(loop, "_configuration", spy_configuration)
+    checked = 0
+    for seed in range(12):
+        s = make_toy(seed)
+        state = start_loop(s, seed=0)
+        adopted.clear()
+        save_energy(state)
+        seen = set()
+        for x, y, delta, sol_id in adopted:
+            # The first configuration built from a probe carries the
+            # binaries that probe's acceptance produced.
+            if sol_id in seen or sol_id not in solved:
+                continue
+            seen.add(sol_id)
+            probe_p, probe = solved[sol_id]
+            if probe_p.objective is state.base_problem.objective:
+                continue  # the closing all-pinned solve, not a probe
+            rebuilt = _shutdown_guidance(state.base_problem, x, y, delta)
+            assert np.array_equal(rebuilt.modes, probe_p.modes)
+            assert np.array_equal(rebuilt.fixed_values, probe_p.fixed_values)
+            assert np.array_equal(rebuilt.objective, probe_p.objective)
+            checked += 1
+    assert checked >= 12
+
+
+def test_repeated_shutdown_phase_is_skipped():
+    skipped = 0
+    for seed in range(8):
+        state = start_loop(make_toy(seed), seed=0)
+        save_energy(state)
+        if state.shutdown_stop is None:
+            continue  # drained everything; nothing was rejected
+        solves = state.lp_solves["save_energy"]
+        cfg = state.current
+        save_energy(state)
+        assert state.lp_solves["save_energy"] == solves
+        assert state.telemetry[-1]["lp_solves"] == 0
+        assert state.telemetry[-1]["deactivated"] == []
+        assert state.current is cfg
+        # Running the phase for real from the same start rejects again.
+        state.shutdown_stop = None
+        save_energy(state)
+        assert state.lp_solves["save_energy"] == solves + 2
+        assert (state.current.x, state.current.y, state.current.delta) == (
+            cfg.x, cfg.y, cfg.delta)
+        skipped += 1
+    assert skipped >= 4
+
+
+def test_shutdown_skip_does_not_survive_demand_swap(vepc):
+    relaxed = scale_demand(vepc, 0.9)
+    state = run_loop(
+        vepc, seed=0, rounds=3, scenario_hook=lambda r, st: relaxed if r == 1 else None
+    )
+    shutdown = [rec for rec in state.telemetry if rec["phase"] == "save_energy"]
+    assert [rec["round"] for rec in shutdown] == [0, 1, 2]
+    assert shutdown[1]["lp_solves"] > 0  # new base problem: solved afresh
+    assert shutdown[2]["lp_solves"] == 0  # same problem, same binaries: skipped
+
+
+def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):
+    state = start_loop(vepc, seed=0)
+    monkeypatch.setattr(
+        lp, "solve", lambda p, **kw: lp.LpSolution("infeasible", {}, float("inf"))
+    )
+    with pytest.raises(InvariantBroken):
+        save_energy(state)
+
+
 # ---------------------------------------------------------------------------
 # run_loop
+
+
+def test_broken_invariant_raises_typed_error(vepc, monkeypatch):
+    broken = [Violation(4, "link capacity", ("n1", "n2"), 1.0)]
+    monkeypatch.setattr(loop, "validate_configuration", lambda *a, **kw: broken)
+    with pytest.raises(InvariantBroken, match="loop invariant broken"):
+        run_loop(vepc, seed=0, rounds=1)
 
 
 def test_zero_rounds_returns_all_on(vepc):
@@ -288,7 +394,7 @@ def test_phase_telemetry_is_json(vepc, caplog):
 def test_energy_never_increases_with_flows_held(vepc):
     """Each accepted shutdown can only drop terms at the adopted flows."""
     state = start_loop(vepc, seed=0)
-    save_energy(state)  # the in-procedure assertion enforces the property
+    save_energy(state)  # the in-procedure check raises InvariantBroken otherwise
     assert validate_configuration(vepc, state.current, tol=1e-6) == []
 
 

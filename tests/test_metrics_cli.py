@@ -2,13 +2,24 @@
 
 import csv
 import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from optiloop.baselines import all_active, exact_optimum, optiloop_strategy
-from optiloop.errors import BaselineMissing
+import optiloop
+from optiloop import cli
+from optiloop.errors import (
+    BaselineMissing,
+    GenerationFailed,
+    InvariantBroken,
+    RepairDiverged,
+    ShapeMismatch,
+    SolverStall,
+)
 from optiloop.metrics import (
     CSV_HEADER,
     ExperimentConfig,
@@ -156,11 +167,19 @@ def test_repeated_experiment_is_byte_identical(tmp_path):
 # CLI
 
 
+def _env(**extra):
+    """Environment for a CLI subprocess that imports this same optiloop."""
+    src = str(Path(optiloop.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "optiloop.cli", *args],
         capture_output=True,
         text=True,
+        env=_env(),
     )
 
 
@@ -179,19 +198,16 @@ def test_cli_single_row_fixture(tmp_path):
 
 
 def test_cli_generate_reruns_identically(tmp_path):
-    import os
-    import subprocess as sp
-
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [sys.executable, "-m", "optiloop.cli", "run", "--generate", "--seed", "3",
             "--gen-endpoints", "1", "--gen-nodes", "3", "--gen-demand", "0.6e9,1.0e9",
             "--strategies", "all_active,optiloop", "--factors", "0.5,1.5",
             "--seeds", "0,1", "--rounds", "2"]
     # distinct hash seeds: byte-identical output must not lean on hash order
-    r1 = sp.run(args + ["--out", str(a)], capture_output=True, text=True,
-                env=dict(os.environ, PYTHONHASHSEED="1"))
-    r2 = sp.run(args + ["--out", str(b)], capture_output=True, text=True,
-                env=dict(os.environ, PYTHONHASHSEED="31337"))
+    r1 = subprocess.run(args + ["--out", str(a)], capture_output=True, text=True,
+                        env=_env(PYTHONHASHSEED="1"))
+    r2 = subprocess.run(args + ["--out", str(b)], capture_output=True, text=True,
+                        env=_env(PYTHONHASHSEED="31337"))
     assert r1.returncode == 0, r1.stderr
     assert r2.returncode == 0, r2.stderr
     assert a.read_bytes() == b.read_bytes()
@@ -230,14 +246,34 @@ def test_cli_budget_exit_4(tmp_path):
     assert res.returncode == 4
 
 
-def test_cli_log_verbosity_env(tmp_path):
-    import os
-    import subprocess as sp
+@pytest.mark.parametrize(
+    "error", [ShapeMismatch, SolverStall, RepairDiverged, GenerationFailed, InvariantBroken]
+)
+def test_cli_other_errors_exit_5(tmp_path, monkeypatch, capsys, error):
+    def fail(config):
+        raise error("synthetic failure")
 
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    code = cli.main(["run", "--generate", "--out", str(tmp_path / "x.csv")])
+    assert code == cli.EXIT_ERROR == 5
+    err = capsys.readouterr().err
+    assert err == f"error: {error.__name__}: synthetic failure\n"
+
+
+def test_cli_operator_scale_generate_exits_5(tmp_path):
+    # The 42x51 default is beyond the built-in dense solver.
+    res = _cli("run", "--generate", "--strategies", "all_active",
+               "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 5
+    assert res.stderr.startswith("error: ShapeMismatch:")
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_log_verbosity_env(tmp_path):
     scen = tmp_path / "fixture.json"
     save_scenario(vepc_two_node(), scen)
-    env = dict(os.environ, OPTILOOP_LOG="INFO")
-    res = sp.run(
+    env = _env(OPTILOOP_LOG="INFO")
+    res = subprocess.run(
         [sys.executable, "-m", "optiloop.cli", "run", "--scenario", str(scen),
          "--strategies", "optiloop", "--rounds", "1", "--out", str(tmp_path / "v.csv")],
         capture_output=True, text=True, env=env,

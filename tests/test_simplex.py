@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from optiloop.simplex import solve_dense
+from optiloop.simplex import _pivot_once, solve_dense
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -142,3 +142,36 @@ def test_deterministic():
     if r1.status == "optimal":
         assert np.array_equal(r1.x, r2.x)
         assert r1.objective == r2.objective
+
+
+def _pivot_full(D, rows_z, basis, col, row):
+    """Pivot subtracting the outer product from every row of the tableau."""
+    D[row] /= D[row, col]
+    colvals = D[:, col].copy()
+    colvals[row] = 0.0
+    D -= np.outer(colvals, D[row])
+    D[:, col] = 0.0
+    D[row, col] = 1.0
+    for z in rows_z:
+        if z[col] != 0.0:
+            z -= z[col] * D[row]
+            z[col] = 0.0
+    basis[row] = col
+
+
+def test_row_restricted_pivot_matches_full_update():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(2, 60))
+        D = np.where(rng.random((m, n)) < 0.15, rng.normal(size=(m, n)), 0.0)
+        row, col = int(rng.integers(m)), int(rng.integers(n - 1))
+        D[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        z = rng.normal(size=n)
+        basis = np.arange(m)
+        want = (D.copy(), z.copy(), basis.copy())
+        _pivot_full(want[0], [want[1]], want[2], col, row)
+        _pivot_once(D, [z], basis, col, row)
+        # Skipped rows keep a -0.0 the full update would have made +0.0.
+        assert np.array_equal(D + 0.0, want[0] + 0.0)
+        assert np.array_equal(z + 0.0, want[1] + 0.0)
+        assert np.array_equal(basis, want[2])
