@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import lp
 from .errors import BudgetExceeded, InstanceInfeasible
-from .loop import _assignment_modes, _configuration, run_loop
+from .loop import _assignment_problem, _configuration, initial_solution, run_loop
 from .model import EnergyBreakdown, derive_logical_flows, energy_of
 
 __all__ = [
@@ -43,14 +43,7 @@ class StrategyResult:
 
 def all_active(s) -> StrategyResult:
     """Today's practice: every element on, flows routed by one LP solve."""
-    p = lp.build_problem(s)
-    x = {lk: 1 for lk in s.link_ids()}
-    y = {c: 1 for c in s.node_ids()}
-    delta = {(c, v): 1 for c in s.node_ids() for v in s.vnf_ids()}
-    sol = lp.solve(lp._with_modes(p, _assignment_modes(p, x, y, delta)))
-    if sol.status != "optimal":
-        raise InstanceInfeasible("all-active assignment infeasible", context="all_active")
-    cfg = _configuration(s, x, y, delta, sol)
+    cfg = initial_solution(s)
     return StrategyResult("all_active", cfg, energy_of(s, cfg), {"lp_solves": 1})
 
 
@@ -274,7 +267,7 @@ def consolidation(s) -> StrategyResult:
         for v in s.vnf_ids()
     }
     p = lp.build_problem(s)
-    sol = lp.solve(lp._with_modes(p, _assignment_modes(p, x, y, delta)))
+    sol = lp.solve(_assignment_problem(p, x, y, delta))
     if sol.status != "optimal":
         raise InstanceInfeasible(
             "consolidation produced an infeasible activation set",
@@ -403,7 +396,7 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
             delta = {
                 (c, v): (1 if (c, v) in chosen_set else 0) for c in nodes for v in vnfs
             }
-            sol = lp.solve(lp._with_modes(p, _assignment_modes(p, x, y, delta)))
+            sol = lp.solve(_assignment_problem(p, x, y, delta))
             state["lp_solves"] += 1
             if sol.status != "optimal":
                 continue

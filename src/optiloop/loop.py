@@ -1,5 +1,8 @@
 """LP-in-the-loop control strategy.
 
+Every LP the loop solves is the base problem with each binary either pinned
+at its current value or relaxed to [0, 1] (``_assignment_modes``).
+
 The loop keeps a feasible operating point at all times.  It starts from the
 everything-on solution (if any feasible point exists, one exists with every
 node, link and instance active, so failure there condemns the instance).
@@ -133,16 +136,28 @@ def weighted_choice(rng, items, weights):
 # Binary assignment helpers
 
 
-def _assignment_modes(p, x, y, delta):
+def _assignment_modes(p, x, y, delta, relax=None):
+    """Modes for the binaries of ``p`` at the values ``x``, ``y``, ``delta``.
+
+    ``relax`` maps a binary kind to a value: binaries of that kind holding
+    that value are relaxed to [0, 1].  Every other binary is pinned at its
+    value; keys absent from a dict read 0.
+    """
+    values = {"x": x, "y": y, "delta": delta}
+    relax = relax or {}
     modes = {}
     for ref in p.variables:
-        if ref.kind == "x":
-            modes[ref] = lp.fixed(x.get(ref.index, 0))
-        elif ref.kind == "y":
-            modes[ref] = lp.fixed(y.get(ref.index[0], 0))
-        elif ref.kind == "delta":
-            modes[ref] = lp.fixed(delta.get(ref.index, 0))
+        held = values.get(ref.kind)
+        if held is None:
+            continue
+        value = held.get(ref.index[0] if ref.kind == "y" else ref.index, 0)
+        modes[ref] = lp.RELAXED if relax.get(ref.kind) == value else lp.fixed(value)
     return modes
+
+
+def _assignment_problem(p, x, y, delta, relax=None):
+    """``p`` with its binaries set by ``_assignment_modes``."""
+    return lp._with_modes(p, _assignment_modes(p, x, y, delta, relax))
 
 
 def _configuration(s, x, y, delta, solution):
@@ -180,9 +195,11 @@ def initial_solution(s, problem=None):
     """
     p = problem if problem is not None else lp.build_problem(s)
     x, y, delta = _all_on(s)
-    sol = lp.solve(lp._with_modes(p, _assignment_modes(p, x, y, delta)))
+    sol = lp.solve(_assignment_problem(p, x, y, delta))
     if sol.status != "optimal":
-        raise InstanceInfeasible("no feasible routing exists with every element active")
+        raise InstanceInfeasible(
+            "no feasible routing exists with every element active", context="all_active"
+        )
     return _configuration(s, x, y, delta, sol)
 
 
@@ -220,6 +237,18 @@ def _emit(state, phase, energy_before, activated, deactivated, solves=None):
 # fix_problems
 
 
+def _repair_weights(state, x, y, delta, relax, kind, candidates):
+    """Relaxed values of the ``kind`` binaries ``candidates`` in the repair
+    guidance LP, which relaxes the binaries ``relax`` names; all 0 when that
+    LP is infeasible."""
+    p = _assignment_problem(state.base_problem, x, y, delta, relax)
+    guide = lp.solve(_guidance(p))
+    state.count_solves("fix_problems")
+    if not guide.is_feasible:
+        return [0.0] * len(candidates)
+    return [guide.values.get(lp.VarRef(kind, key), 0.0) for key in candidates]
+
+
 def fix_problems(state):
     """Restore feasibility by activating elements, guided by relaxed solves."""
     s = state.scenario
@@ -233,93 +262,53 @@ def fix_problems(state):
     activated = []
     solves_at_entry = state.lp_solves.get("fix_problems", 0)
 
-    fixed_p = lp._with_modes(p0, _assignment_modes(p0, x, y, delta))
-    sol = lp.solve(fixed_p)
-    state.count_solves("fix_problems")
-
-    while sol.status != "optimal":
+    while True:
+        fixed_p = _assignment_problem(p0, x, y, delta)
+        sol = lp.solve(fixed_p)
+        state.count_solves("fix_problems")
+        if sol.status == "optimal":
+            break
         report = compute_iis(fixed_p)
         state.count_solves("fix_problems", report.solves)
-        progressed = False
-        exhausted = False
+        before = len(activated)
 
-        if 4 in report.families:
-            candidates = [lk for lk in s.link_ids() if x.get(lk, 0) == 0]
-            if not candidates:
-                exhausted = True
-            else:
-                relax_modes = {lp.VarRef("x", lk): lp.RELAXED for lk in candidates}
-                relax_modes.update(
-                    {
-                        lp.VarRef("y", (c,)): lp.RELAXED
-                        for c in s.node_ids()
-                        if y.get(c, 0) == 0
-                    }
-                )
-                guide = lp.solve(_guidance(lp._with_modes(fixed_p, relax_modes)))
-                state.count_solves("fix_problems")
-                weights = [
-                    guide.values.get(lp.VarRef("x", lk), 0.0) if guide.is_feasible else 0.0
-                    for lk in candidates
+        candidates = [lk for lk in s.link_ids() if x.get(lk, 0) == 0]
+        if 4 in report.families and candidates:
+            weights = _repair_weights(
+                state, x, y, delta, {"x": 0, "y": 0}, "x", candidates
+            )
+            pick = weighted_choice(state.rng, candidates, weights)
+            x[pick] = 1
+            for end in pick:
+                if end in s.physical.nodes:
+                    y[end] = 1
+            activated.append(("link", pick))
+            state.activations += 1
+
+        candidates = [
+            (c, v) for c in s.node_ids() for v in s.vnf_ids() if delta.get((c, v), 0) == 0
+        ]
+        if 7 in report.families and candidates:
+            weights = _repair_weights(
+                state, x, y, delta, {"delta": 0, "y": 0}, "delta", candidates
+            )
+            if not any(w > 0.0 for w in weights):
+                # uniform fallback, restricted to nodes that can host
+                hostable = [
+                    pair for pair in candidates if s.physical.nodes[pair[0]].compute > 0
                 ]
-                pick = weighted_choice(state.rng, candidates, weights)
-                x[pick] = 1
-                for end in pick:
-                    if end in s.physical.nodes:
-                        y[end] = 1
-                activated.append(("link", pick))
-                state.activations += 1
-                progressed = True
-                fixed_p = lp._with_modes(p0, _assignment_modes(p0, x, y, delta))
-
-        if 7 in report.families:
-            candidates = [
-                (c, v)
-                for c in s.node_ids()
-                for v in s.vnf_ids()
-                if delta.get((c, v), 0) == 0
-            ]
-            if not candidates:
-                exhausted = exhausted or not progressed
-            else:
-                relax_modes = {
-                    lp.VarRef("delta", pair): lp.RELAXED for pair in candidates
-                }
-                relax_modes.update(
-                    {
-                        lp.VarRef("y", (c,)): lp.RELAXED
-                        for c in s.node_ids()
-                        if y.get(c, 0) == 0
-                    }
-                )
-                guide = lp.solve(_guidance(lp._with_modes(fixed_p, relax_modes)))
-                state.count_solves("fix_problems")
-                if guide.is_feasible:
-                    weights = [
-                        guide.values.get(lp.VarRef("delta", pair), 0.0)
-                        for pair in candidates
-                    ]
-                else:
+                if hostable:
+                    candidates = hostable
                     weights = [0.0] * len(candidates)
-                if not any(w > 0.0 for w in weights):
-                    # uniform fallback, restricted to nodes that can host
-                    hostable = [
-                        pair for pair in candidates if s.physical.nodes[pair[0]].compute > 0
-                    ]
-                    if hostable:
-                        candidates = hostable
-                        weights = [0.0] * len(candidates)
-                pick = weighted_choice(state.rng, candidates, weights)
-                c, v = pick
-                y[c] = 1
-                delta[pick] = 1
-                activated.append(("placement", pick))
-                state.activations += 1
-                progressed = True
-                fixed_p = lp._with_modes(p0, _assignment_modes(p0, x, y, delta))
+            pick = weighted_choice(state.rng, candidates, weights)
+            c, v = pick
+            y[c] = 1
+            delta[pick] = 1
+            activated.append(("placement", pick))
+            state.activations += 1
 
-        if not progressed:
-            if exhausted:
+        if len(activated) == before:
+            if report.families & {4, 7}:
                 raise InstanceInfeasible(
                     "repair exhausted activatable elements", context="fix_problems"
                 )
@@ -328,9 +317,6 @@ def fix_problems(state):
             )
         if len(activated) > cap:
             raise RepairDiverged(f"exceeded activation cap of {cap}")
-
-        sol = lp.solve(fixed_p)
-        state.count_solves("fix_problems")
 
     state.current = _configuration(s, x, y, delta, sol)
     _emit(
@@ -358,6 +344,32 @@ def _argmin(values):
     return best
 
 
+def _shutdown_problem(p, x, y, delta):
+    """Active binaries relaxed, inactive ones pinned at 0, placements steered
+    to the ceiling."""
+    relaxed = _assignment_problem(p, x, y, delta, relax={"x": 1, "y": 1, "delta": 1})
+    return _guidance(relaxed, placements="ceil")
+
+
+def _switch_off(x, y, delta, kind, target):
+    """Copies of the binaries with ``target`` off; a node takes its incident
+    links and hosted instances with it."""
+    x, y, delta = dict(x), dict(y), dict(delta)
+    if kind == "link":
+        x[target] = 0
+    elif kind == "node":
+        y[target] = 0
+        for lk in x:
+            if target in lk:
+                x[lk] = 0
+        for pair in delta:
+            if pair[0] == target:
+                delta[pair] = 0
+    else:
+        delta[target] = 0
+    return x, y, delta
+
+
 def save_energy(state):
     """Deactivate elements one probe at a time until a probe fails."""
     s = state.scenario
@@ -379,105 +391,58 @@ def save_energy(state):
     guide = None
 
     for _ in range(guard):
-        active_links = [lk for lk in s.link_ids() if x.get(lk, 0) == 1]
-        active_nodes = [c for c in s.node_ids() if y.get(c, 0) == 1]
-        deployed = [pair for pair in sorted(delta) if delta[pair] == 1]
-        if not (active_links or active_nodes or deployed):
+        # Probe kinds in tie-break rank order: link > node > placement.
+        active = (
+            ("link", "x", [(lk, lk) for lk in s.link_ids() if x.get(lk, 0) == 1]),
+            ("node", "y", [(c, (c,)) for c in s.node_ids() if y.get(c, 0) == 1]),
+            ("placement", "delta", [(d, d) for d in sorted(delta) if delta[d] == 1]),
+        )
+        if not any(keys for _, _, keys in active):
             break
 
         if guide is None:
-            modes = {}
-            for lk in s.link_ids():
-                modes[lp.VarRef("x", lk)] = (
-                    lp.RELAXED if x.get(lk, 0) == 1 else lp.fixed(0)
-                )
-            for c in s.node_ids():
-                modes[lp.VarRef("y", (c,))] = (
-                    lp.RELAXED if y.get(c, 0) == 1 else lp.fixed(0)
-                )
-                for v in s.vnf_ids():
-                    modes[lp.VarRef("delta", (c, v))] = (
-                        lp.RELAXED if delta.get((c, v), 0) == 1 else lp.fixed(0)
-                    )
-            relaxed_p = _guidance(lp._with_modes(p0, modes), placements="ceil")
-            guide = lp.solve(relaxed_p)
+            guide = lp.solve(_shutdown_problem(p0, x, y, delta))
             state.count_solves("save_energy")
             if not guide.is_feasible:
                 raise InvariantBroken(
                     f"shutdown guidance LP is {guide.status} at a feasible operating point"
                 )
 
-        best_link = _argmin(
-            {lk: guide.values[lp.VarRef("x", lk)] for lk in active_links}
-        )
-        best_node = _argmin(
-            {c: guide.values[lp.VarRef("y", (c,))] for c in active_nodes}
-        )
-        best_dep = _argmin(
-            {pair: guide.values[lp.VarRef("delta", pair)] for pair in deployed}
-        )
-        ranked = []
-        if best_link:
-            ranked.append((best_link[0], 0, "link", best_link[1]))
-        if best_node:
-            ranked.append((best_node[0], 1, "node", best_node[1]))
-        if best_dep:
-            ranked.append((best_dep[0], 2, "placement", best_dep[1]))
-        _, _, kind, target = min(ranked, key=lambda r: (r[0], r[1]))
+        best = None
+        for kind, var, keys in active:
+            found = _argmin({key: guide.values[lp.VarRef(var, idx)] for key, idx in keys})
+            if found and (best is None or found[0] < best[0]):
+                best = (found[0], kind, found[1])
+        _, kind, target = best
 
-        probe_modes = {}
-        if kind == "link":
-            probe_modes[lp.VarRef("x", target)] = lp.fixed(0)
-        elif kind == "node":
-            probe_modes[lp.VarRef("y", (target,))] = lp.fixed(0)
-            for lk in s.link_ids():
-                if target in lk:
-                    probe_modes[lp.VarRef("x", lk)] = lp.fixed(0)
-            for v in s.vnf_ids():
-                probe_modes[lp.VarRef("delta", (target, v))] = lp.fixed(0)
-        else:
-            probe_modes[lp.VarRef("delta", target)] = lp.fixed(0)
-
-        probe_p = lp._with_modes(relaxed_p, probe_modes)
-        probe = lp.solve(probe_p)
+        # The probe LP is the shutdown problem of the switched-off binaries,
+        # so an accepted probe's solution is the next guide.
+        after = _switch_off(x, y, delta, kind, target)
+        probe = lp.solve(_shutdown_problem(p0, *after))
         state.count_solves("save_energy")
         if not probe.is_feasible:
             state.shutdown_stop = (p0, x, y, delta)
             break
 
-        before_binaries = (dict(x), dict(y), dict(delta))
-        if kind == "link":
-            x[target] = 0
-        elif kind == "node":
-            y[target] = 0
-            for lk in list(x):
-                if target in lk:
-                    x[lk] = 0
-            for pair in list(delta):
-                if pair[0] == target:
-                    delta[pair] = 0
-        else:
-            delta[target] = 0
-        state.current = _configuration(s, x, y, delta, probe)
+        state.current = _configuration(s, *after, probe)
         # Holding flows at the probe's solution, removing an element can only
         # drop nonnegative terms from the energy sum.
-        held = _configuration(s, *before_binaries, probe)
-        after, limit = energy_of(s, state.current).total, energy_of(s, held).total
-        if after > limit + 1e-9:
+        held = _configuration(s, x, y, delta, probe)
+        e_after, limit = energy_of(s, state.current).total, energy_of(s, held).total
+        if e_after > limit + 1e-9:
             raise InvariantBroken(
                 f"deactivating {kind} {target} raised the energy at held flows "
-                f"from {limit!r} to {after!r}"
+                f"from {limit!r} to {e_after!r}"
             )
         deactivated.append((kind, target))
         state.deactivations += 1
-        # The probe's LP is the guidance LP of the new binaries: every pinned
-        # element is fixed at 0, the rest relaxed, same objective.
-        relaxed_p, guide = probe_p, probe
+        x, y, delta = after
+        guide = probe
 
     if deactivated:
         # The probe's flows optimize a partially relaxed problem; the enacted
         # operating point routes optimally for the binaries actually kept.
-        final = lp.solve(lp._with_modes(p0, _assignment_modes(p0, x, y, delta)))
+        final = lp.solve(_assignment_problem(p0, x, y, delta))
         state.count_solves("save_energy")
         if final.is_feasible:
             state.current = _configuration(s, x, y, delta, final)

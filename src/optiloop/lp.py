@@ -100,7 +100,6 @@ class LpProblem:
     constraints: tuple
     objective: np.ndarray
     traffic_scale: float
-    scenario: object = None
     _cache: _DenseCache = field(default_factory=_DenseCache, repr=False)
 
     def n_vars(self):
@@ -420,7 +419,6 @@ def build_problem(s, modes=None):
         constraints=tuple(cons),
         objective=objective,
         traffic_scale=t0,
-        scenario=s,
     )
     if modes:
         problem = _with_modes(problem, modes)

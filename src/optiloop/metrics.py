@@ -185,12 +185,14 @@ def run_experiment(config: ExperimentConfig):
 
     scaled = {}
     baseline_by_factor = {}
+    cache = {}
     for f in config.factors:
         scaled[f] = scale_demand(base, f) if f != 1.0 else base
+        t0 = time.perf_counter()
         baseline_by_factor[f] = baselines.all_active(scaled[f])
+        cache[("all_active", f)] = (baseline_by_factor[f], time.perf_counter() - t0)
 
     rows = []
-    cache = {}
     for name in config.strategies:
         for f in config.factors:
             for seed in config.seeds:

@@ -48,7 +48,6 @@ __all__ = [
     "derive_logical_flows",
     "validate_configuration",
     "energy_of",
-    "commodities",
     "total_ingress",
 ]
 
@@ -193,12 +192,6 @@ class PhysicalGraph:
                 raise ShapeMismatch(f"self-loop link ({i},{j})")
             if link.capacity <= 0:
                 raise ShapeMismatch(f"link ({i},{j}) capacity must be positive")
-
-    def out_links(self, vertex):
-        return [lk for lk in self.links if lk[0] == vertex]
-
-    def in_links(self, vertex):
-        return [lk for lk in self.links if lk[1] == vertex]
 
 
 @dataclass(frozen=True)
@@ -382,25 +375,6 @@ def derive_logical_flows(lg: LogicalGraph) -> dict:
                     flows[(e, v2, v3)] = out
                     inflow[(v2, v3)] = inflow.get((v2, v3), 0.0) + out
     return flows
-
-
-def commodities(s: Scenario) -> dict:
-    """Per-endpoint commodity index spaces for the physical flow variables.
-
-    Returns ``{e: {"first": [v...], "pairs": [(v1, v2)...]}}`` where
-    ``first`` lists functions with positive ingress demand from e (their
-    commodity is the conventional (v, v)) and ``pairs`` is the full dense
-    (v1, v2) product used for node flow variables.
-    """
-    lg = s.logical
-    out = {}
-    vnfs = sorted(lg.vnfs)
-    for e in sorted(lg.endpoints):
-        first = sorted(
-            v for (ep, v), rate in lg.ingress_demand.items() if ep == e and rate > 0.0
-        )
-        out[e] = {"first": first, "pairs": [(a, b) for a in vnfs for b in vnfs]}
-    return out
 
 
 def total_ingress(s: Scenario) -> float:

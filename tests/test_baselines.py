@@ -86,6 +86,13 @@ def test_all_active_infeasible_instance():
         all_active(s)
 
 
+def test_all_active_infeasibility_is_tagged():
+    s = single_vnf_scenario(demand=5.0 * GIG, caps={("e0", "m1"): 1.0 * GIG})
+    with pytest.raises(InstanceInfeasible) as err:
+        all_active(s)
+    assert err.value.context == "all_active"
+
+
 # ---------------------------------------------------------------------------
 # consolidation
 

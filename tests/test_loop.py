@@ -1,5 +1,6 @@
 """Control loop: initial solution, repair, shutdown hunting, determinism."""
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -10,7 +11,8 @@ import pytest
 from conftest import single_vnf_scenario
 from corpus import make_toy
 from optiloop import loop, lp
-from optiloop.errors import InstanceInfeasible, InvariantBroken
+from optiloop.errors import InstanceInfeasible, InvariantBroken, RepairDiverged
+from optiloop.iis import IisReport
 from optiloop.loop import (
     LoopState,
     _assignment_modes,
@@ -177,6 +179,86 @@ def test_unfixable_instance_raises():
     # everything already active: demand 100x exceeds total compute, nothing to add
     with pytest.raises(InstanceInfeasible):
         fix_problems(state)
+
+
+def _rule_problem(p, x, y, delta, relaxed_kinds=()):
+    """A repair LP as the procedure documents it: binaries of the relaxed
+    kinds that are off range over [0, 1], every other binary is pinned."""
+    modes = {}
+    for ref in p.variables:
+        on = {"x": x, "y": y, "delta": delta}.get(ref.kind)
+        if on is not None:
+            value = on.get(ref.index[0] if ref.kind == "y" else ref.index, 0)
+            off = value == 0 and ref.kind in relaxed_kinds
+            modes[ref] = lp.RELAXED if off else lp.fixed(value)
+    return lp._with_modes(p, modes)
+
+
+def test_repair_problems_follow_the_rule(monkeypatch):
+    events = []
+    real_solve, real_choice = lp.solve, loop.weighted_choice
+
+    def spy_solve(p, *args, **kwargs):
+        events.append(("solve", p))
+        return real_solve(p, *args, **kwargs)
+
+    def spy_choice(rng, items, weights):
+        pick = real_choice(rng, items, weights)
+        events.append(("pick", pick))
+        return pick
+
+    monkeypatch.setattr(lp, "solve", spy_solve)
+    monkeypatch.setattr(loop, "weighted_choice", spy_choice)
+    checked = {"pinned": 0, "x": 0, "delta": 0}
+    for seed in range(8):
+        s = make_toy(seed)
+        state = start_loop(s, seed=0)
+        save_energy(state)
+        state.scenario = scale_demand(s, 3.0)
+        state.base_problem = p0 = lp.build_problem(state.scenario)
+        x, y, delta = (dict(b) for b in (state.current.x, state.current.y, state.current.delta))
+        events.clear()
+        with contextlib.suppress(InstanceInfeasible):
+            fix_problems(state)
+        links = set(s.link_ids())
+        guide = None
+        for what, item in events:
+            if what == "solve" and item.objective is p0.objective:
+                rebuilt = _rule_problem(p0, x, y, delta)
+                assert np.array_equal(rebuilt.modes, item.modes)
+                assert np.array_equal(rebuilt.fixed_values, item.fixed_values)
+                checked["pinned"] += 1
+            elif what == "solve":
+                guide = item
+            else:
+                # Each guide LP is followed by the activation it guided.
+                kind = "x" if item in links else "delta"
+                rebuilt = _guidance(_rule_problem(p0, x, y, delta, (kind, "y")))
+                assert np.array_equal(rebuilt.modes, guide.modes)
+                assert np.array_equal(rebuilt.fixed_values, guide.fixed_values)
+                assert np.array_equal(rebuilt.objective, guide.objective)
+                checked[kind] += 1
+                if kind == "x":
+                    x[item] = 1
+                    y.update({end: 1 for end in item if end in s.physical.nodes})
+                else:
+                    y[item[0]] = 1
+                    delta[item] = 1
+    assert checked["x"] >= 7 and checked["delta"] >= 7
+    assert checked["pinned"] > checked["x"]
+
+
+def test_repair_without_actionable_family_diverges(monkeypatch):
+    s = single_vnf_scenario(demand=1.0 * GIG)
+    cfg = initial_solution(s)
+    state = _state_for(scale_demand(s, 100.0), cfg, seed=0)
+    # An IIS of flow-balance rows only names nothing to switch on.
+    monkeypatch.setattr(
+        loop, "compute_iis", lambda p: IisReport(((1, ("m1",)),), frozenset({1}), 3)
+    )
+    with pytest.raises(RepairDiverged, match=r"IIS families \[1\]"):
+        fix_problems(state)
+    assert state.lp_solves["fix_problems"] == 4
 
 
 # ---------------------------------------------------------------------------

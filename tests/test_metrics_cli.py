@@ -11,7 +11,7 @@ import pytest
 
 from optiloop.baselines import all_active, exact_optimum, optiloop_strategy
 import optiloop
-from optiloop import cli
+from optiloop import baselines, cli
 from optiloop.errors import (
     BaselineMissing,
     GenerationFailed,
@@ -117,6 +117,23 @@ def test_experiment_grid_and_ordering(tmp_path):
         for seed in config.seeds
     ]
     assert keys == expect
+
+
+def test_experiment_runs_all_active_once_per_factor(tmp_path, monkeypatch):
+    calls = []
+    real = baselines.all_active
+
+    def spy(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(baselines, "all_active", spy)
+    rows = run_experiment(_experiment(tmp_path, strategies=("all_active",)))
+    assert len(calls) == 3
+    assert [(r.demand_factor, r.seed) for r in rows] == [
+        (f, seed) for f in (0.5, 1.0, 2.0) for seed in (0, 1)
+    ]
+    assert all(r.lp_solves == 1 and r.savings_vs_all_active == 0.0 for r in rows)
 
 
 def test_experiment_rows_satisfy_sandwich(tmp_path):
