@@ -6,6 +6,12 @@ either pinned to a value or relaxed to [0, 1], so each solve is a plain LP.
 ``LpProblem`` is a value: ``fix``/``relax`` return modified copies that
 share the (immutable) constraint matrix.
 
+The row space follows the flow variables, which exist only for live
+commodities (a demanded first hop or a positive derived flow).  The
+per-commodity families 1, 2 and 6 have one row per node and live
+commodity, so every row has a flow term except the activation rows of
+families 3 and 5; those are the only rows that pinning binaries can empty.
+
 Flow variables are expressed internally in units of the scenario's largest
 logical flow (``traffic_scale``), which keeps the tableau well conditioned
 when demands are in bit/s; solutions are rescaled on extraction and the
@@ -150,25 +156,23 @@ def _flow_scale(s):
     return peak if peak > 0 else 1.0
 
 
-def build_problem(s, modes=None):
-    """Emit the full constraint system for a scenario.
+def build_problem(s):
+    """Emit the constraint system for a scenario, every binary relaxed.
 
-    ``modes`` optionally maps binary VarRefs to ``fixed(v)`` or ``RELAXED``;
-    unmentioned binaries default to relaxed.  Flow variables are always
-    continuous and may not appear in ``modes``.
-
-    The constraint index space is the full node x endpoint x function-pair
-    product, but flow variables only exist for commodities the demand can
-    actually reach (positive ingress or a positive derived flow).  Flow on
-    any other commodity has no source and could only circulate, so pinning
-    it to zero by omission loses nothing and keeps the tableau small.
+    Flow variables exist only for live commodities: a demanded first hop
+    ``(v, v)`` or a ``(v1, v2)`` with positive derived flow.  Flow on any
+    other commodity has no source and could only circulate, so pinning it
+    to zero by omission loses nothing.  The rows follow the same rule:
+    families 1, 2 and 6 exist once per node and live commodity, so every
+    row carries a flow term except the activation rows of families 3 and 5,
+    which are also the only rows that pinning the binaries can empty.
+    ``fix``, ``relax`` and ``_with_modes`` set the binaries' modes.
     """
     lg, pg = s.logical, s.physical
     eps = s.endpoint_ids()
     nodes = s.node_ids()
     vnfs = s.vnf_ids()
     links = s.link_ids()
-    pairs = [(a, b) for a in vnfs for b in vnfs]
     first_hops = {
         e: sorted(
             v for (ep, v), rate in lg.ingress_demand.items() if ep == e and rate > 0.0
@@ -233,39 +237,31 @@ def build_problem(s, modes=None):
         if i in ep_out:
             ep_out[i].append((i, j))
 
-    def tau_col(i, j, e, v1, v2):
-        ref = VarRef("tau", (i, j, e, v1, v2))
-        return var_index.get(ref)
-
     cons = []
 
     # Family 1: arrivals split into transit and processed traffic.
     for c in nodes:
         for e in eps:
-            for (v1, v2) in pairs:
+            for (v1, v2) in live_pairs[e]:
                 terms = []
                 for (i, j) in in_links[c]:
-                    pos = tau_col(i, j, e, v1, v2)
+                    pos = maybe("tau", i, j, e, v1, v2)
                     if pos is not None:
                         terms.append((pos, 1.0))
-                for kind in ("transit", "processed"):
-                    pos = maybe(kind, c, e, v1, v2)
-                    if pos is not None:
-                        terms.append((pos, -1.0))
+                terms.append((col("transit", c, e, v1, v2), -1.0))
+                terms.append((col("processed", c, e, v1, v2), -1.0))
                 cons.append(LinearConstraint((1, (c, e, v1, v2)), tuple(terms), "eq", 0.0))
 
     # Family 2: departures are transit plus chi-transformed processed traffic.
     for c in nodes:
         for e in eps:
-            for (vb, vc) in pairs:
+            for (vb, vc) in live_pairs[e]:
                 terms = []
                 for (i, j) in out_links[c]:
-                    pos = tau_col(i, j, e, vb, vc)
+                    pos = maybe("tau", i, j, e, vb, vc)
                     if pos is not None:
                         terms.append((pos, 1.0))
-                pos = maybe("transit", c, e, vb, vc)
-                if pos is not None:
-                    terms.append((pos, -1.0))
+                terms.append((col("transit", c, e, vb, vc), -1.0))
                 for va in vnfs:
                     ratio = lg.chi_out(e, va, vb, vc)
                     if ratio > 0.0:
@@ -297,7 +293,7 @@ def build_problem(s, modes=None):
             if i in ep_set and e != i:
                 continue
             for (v1, v2) in live_pairs[e]:
-                pos = tau_col(i, j, e, v1, v2)
+                pos = maybe("tau", i, j, e, v1, v2)
                 if pos is not None:
                     terms.append((pos, 1.0))
         terms.append((col("x", i, j), -pg.links[(i, j)].capacity / t0))
@@ -316,15 +312,9 @@ def build_problem(s, modes=None):
     for c in nodes:
         k = pg.nodes[c].compute / t0
         for e in eps:
-            for (v1, v2) in pairs:
-                terms = []
-                pos = maybe("processed", c, e, v1, v2)
-                if pos is not None:
-                    terms.append((pos, 1.0))
-                terms.append((col("delta", c, v2), -k))
-                cons.append(
-                    LinearConstraint((6, (c, e, v1, v2)), tuple(terms), "le", 0.0)
-                )
+            for (v1, v2) in live_pairs[e]:
+                terms = ((col("processed", c, e, v1, v2), 1.0), (col("delta", c, v2), -k))
+                cons.append(LinearConstraint((6, (c, e, v1, v2)), terms, "le", 0.0))
 
     # Family 7: compute covers processing plus software switching on egress.
     for c in nodes:
@@ -339,7 +329,7 @@ def build_problem(s, modes=None):
             for (i, j) in out_links[c]:
                 for e in eps:
                     for (v1, v2) in live_pairs[e]:
-                        pos = tau_col(i, j, e, v1, v2)
+                        pos = maybe("tau", i, j, e, v1, v2)
                         if pos is not None:
                             terms.append((pos, spec.switch_cost))
         cons.append(LinearConstraint((7, (c,)), tuple(terms), "le", spec.compute / t0))
@@ -361,7 +351,7 @@ def build_problem(s, modes=None):
                 if d == 0.0:
                     continue
                 for (v1, v2) in live_pairs[e]:
-                    pos = tau_col(i, j, e, v1, v2)
+                    pos = maybe("tau", i, j, e, v1, v2)
                     if pos is not None:
                         terms.append((pos, d))
             for c in nodes:
@@ -378,7 +368,7 @@ def build_problem(s, modes=None):
         for v in first_hops[e]:
             terms = []
             for (i, j) in ep_out[e]:
-                pos = tau_col(i, j, e, v, v)
+                pos = maybe("tau", i, j, e, v, v)
                 if pos is not None:
                     terms.append((pos, 1.0))
             cons.append(
@@ -411,7 +401,7 @@ def build_problem(s, modes=None):
         if ref.is_binary():
             mode_arr[pos] = MODE_RELAXED
 
-    problem = LpProblem(
+    return LpProblem(
         variables=tuple(variables),
         var_index=var_index,
         modes=mode_arr,
@@ -420,9 +410,6 @@ def build_problem(s, modes=None):
         objective=objective,
         traffic_scale=t0,
     )
-    if modes:
-        problem = _with_modes(problem, modes)
-    return problem
 
 
 def _with_modes(p, updates):
@@ -612,8 +599,7 @@ def to_lp_text(p):
     """Serialize the problem (with its current modes) in CPLEX LP format."""
     lines = ["Minimize", " obj:"]
     terms = []
-    for ref, pos in sorted(p.var_index.items(), key=lambda kv: kv[1]):
-        coef = p.objective[pos]
+    for ref, coef in zip(p.variables, p.objective):
         if coef != 0.0:
             terms.append(f" + {_fmt(coef)} {var_name(ref)}")
     lines[1] += "".join(terms) if terms else " 0"
@@ -627,7 +613,7 @@ def to_lp_text(p):
         op = "<=" if con.sense == "le" else "="
         lines.append(f" {row_name(con.cid)}:{''.join(parts)} {op} {_fmt(con.rhs)}")
     lines.append("Bounds")
-    for ref, pos in sorted(p.var_index.items(), key=lambda kv: kv[1]):
+    for pos, ref in enumerate(p.variables):
         mode = p.modes[pos]
         if mode == MODE_FIXED:
             lines.append(f" {var_name(ref)} = {_fmt(p.fixed_values[pos])}")

@@ -30,6 +30,7 @@ Constraint families referenced by number throughout the package:
 All types are immutable after construction; operations are pure.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import CyclicLogicalGraph, ShapeMismatch
@@ -103,16 +104,20 @@ class LogicalGraph:
         for (prev, at, nxt), ratio in self.chi.items():
             if prev not in vertices or at not in self.vnfs or nxt not in self.vnfs:
                 raise ShapeMismatch(f"chi key ({prev},{at},{nxt}) references unknown vertices")
-            if ratio < 0:
-                raise ShapeMismatch(f"chi({prev},{at},{nxt}) = {ratio} is negative")
+            if not 0 <= ratio < math.inf:
+                raise ShapeMismatch(
+                    f"chi({prev},{at},{nxt}) = {ratio} must be finite and nonnegative"
+                )
         for (e, v), rate in self.ingress_demand.items():
             if e not in self.endpoints or v not in self.vnfs:
                 raise ShapeMismatch(f"ingress demand key ({e},{v}) references unknown vertices")
-            if rate < 0:
-                raise ShapeMismatch(f"ingress demand ({e},{v}) = {rate} is negative")
+            if not 0 <= rate < math.inf:
+                raise ShapeMismatch(
+                    f"ingress demand ({e},{v}) = {rate} must be finite and nonnegative"
+                )
         for v in self.vnfs:
-            if self.compute_per_bit[v] < 0:
-                raise ShapeMismatch(f"compute_per_bit({v}) is negative")
+            if not 0 <= self.compute_per_bit[v] < math.inf:
+                raise ShapeMismatch(f"compute_per_bit({v}) must be finite and nonnegative")
         for e in sorted(self.endpoints):
             self.topological_order(e)  # raises CyclicLogicalGraph
 
@@ -183,15 +188,15 @@ class PhysicalGraph:
         object.__setattr__(self, "nodes", dict(self.nodes))
         object.__setattr__(self, "links", dict(self.links))
         for c, node in self.nodes.items():
-            if node.compute < 0:
-                raise ShapeMismatch(f"node {c} has negative compute")
-            if node.switch_cost < 0:
-                raise ShapeMismatch(f"node {c} has negative switch cost")
+            if not 0 <= node.compute < math.inf:
+                raise ShapeMismatch(f"node {c} compute must be finite and nonnegative")
+            if not 0 <= node.switch_cost < math.inf:
+                raise ShapeMismatch(f"node {c} switch cost must be finite and nonnegative")
         for (i, j), link in self.links.items():
             if i == j:
                 raise ShapeMismatch(f"self-loop link ({i},{j})")
-            if link.capacity <= 0:
-                raise ShapeMismatch(f"link ({i},{j}) capacity must be positive")
+            if not 0 < link.capacity < math.inf:
+                raise ShapeMismatch(f"link ({i},{j}) capacity must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,10 @@ class EnergyModel:
             "switch_energy_per_bit",
             "link_energy_per_bit",
         ):
-            if getattr(self, name) < 0:
-                raise ShapeMismatch(f"energy model field {name} is negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ShapeMismatch(
+                    f"energy model field {name} must be finite and nonnegative"
+                )
 
 
 @dataclass(frozen=True, eq=False)

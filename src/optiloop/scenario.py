@@ -373,9 +373,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
             },
         )
         energy = EnergyModel(**doc.get("energy", {}))
+        max_delay = doc.get("max_delay", {})
+        if not isinstance(max_delay, dict):
+            raise ScenarioFormatError("max_delay must be a JSON object")
         max_delay = {
             e: (None if bound is None else float(bound))
-            for e, bound in doc.get("max_delay", {}).items()
+            for e, bound in max_delay.items()
         }
         max_delay = {e: b for e, b in max_delay.items() if b is not None}
         return Scenario(
@@ -398,6 +401,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioFormatError(
             f"invalid JSON in {path}: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path} is not UTF-8: {exc}") from exc
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:

@@ -105,7 +105,7 @@ def _run_phase(D, z, other_z, basis, allowed, is_artificial, maxiter, iters, che
             raise SolverStall(f"simplex exceeded {maxiter} iterations")
 
 
-def solve_dense(c, A, b, senses, feasibility_only=False, maxiter=None):
+def solve_dense(c, A, b, senses, feasibility_only=False):
     """senses: sequence of 'le' / 'eq' per row."""
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -159,8 +159,7 @@ def solve_dense(c, A, b, senses, feasibility_only=False, maxiter=None):
     is_artificial = np.zeros(ncols, dtype=bool)
     is_artificial[n + n_slack :] = True
 
-    if maxiter is None:
-        maxiter = 500 + 30 * (m + ncols)
+    maxiter = 500 + 30 * (m + ncols)
 
     # Phase one: minimize the sum of artificials.
     c1 = np.zeros(ncols + 1)

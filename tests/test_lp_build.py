@@ -5,36 +5,52 @@ from collections import Counter
 import pytest
 
 from conftest import single_vnf_scenario
+from corpus import make_toy
 from optiloop import lp
 from optiloop.errors import InvalidMode
 from optiloop.loop import _all_on, _assignment_modes
-from optiloop.model import validate_configuration
-from optiloop.scenario import scale_demand
+from optiloop.model import derive_logical_flows, validate_configuration
+from optiloop.scenario import GeneratorParams, generate, scale_demand
 
 GIG = 1e9
 
 
+def _live_pairs(s, e):
+    """First-hop pairs plus the (v1, v2) of every positive derived flow."""
+    demand = s.logical.ingress_demand
+    first = {(v, v) for (ep, v), rate in demand.items() if ep == e and rate > 0}
+    derived = {(v1, v2) for (ep, v1, v2) in derive_logical_flows(s.logical) if ep == e}
+    return first | derived
+
+
 def test_constraint_counts_match_closed_forms(vepc):
-    p = lp.build_problem(vepc)
-    fams = Counter(con.cid[0] for con in p.constraints)
-    C = len(vepc.physical.nodes)
-    E = len(vepc.logical.endpoints)
-    V = len(vepc.logical.vnfs)
-    L = len(vepc.physical.links)
-    node_ends = sum(
-        (1 if i in vepc.physical.nodes else 0) + (1 if j in vepc.physical.nodes else 0)
-        for (i, j) in vepc.physical.links
-    )
-    demanded = sum(1 for rate in vepc.logical.ingress_demand.values() if rate > 0)
-    assert fams[1] == C * E * V * V
-    assert fams[2] == C * E * V * V
-    assert fams[3] == node_ends
-    assert fams[4] == L
-    assert fams[5] == C * V
-    assert fams[6] == C * E * V * V
-    assert fams[7] == C
-    assert fams.get(8, 0) == 0  # delays disabled
-    assert fams[9] == demanded
+    scenarios = [vepc] + [make_toy(seed) for seed in range(30)]
+    scenarios.append(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1)))
+    for s in scenarios:
+        p = lp.build_problem(s)
+        fams = Counter(con.cid[0] for con in p.constraints)
+        C = len(s.physical.nodes)
+        V = len(s.logical.vnfs)
+        L = len(s.physical.links)
+        node_ends = sum(
+            (1 if i in s.physical.nodes else 0) + (1 if j in s.physical.nodes else 0)
+            for (i, j) in s.physical.links
+        )
+        demanded = sum(1 for rate in s.logical.ingress_demand.values() if rate > 0)
+        live = sum(len(_live_pairs(s, e)) for e in s.logical.endpoints)
+        assert fams[1] == C * live
+        assert fams[2] == C * live
+        assert fams[3] == node_ends
+        assert fams[4] == L
+        assert fams[5] == C * V
+        assert fams[6] == C * live
+        assert fams[7] == C
+        assert fams.get(8, 0) == 0  # delays disabled
+        assert fams[9] == demanded
+        for con in p.constraints:
+            if con.cid[0] not in (3, 5):
+                kinds = {p.variables[pos].kind for pos, _ in con.terms}
+                assert kinds & set(lp.FLOW_KINDS), con.cid
 
 
 def test_delay_rows_only_when_enabled(vepc):
@@ -155,8 +171,6 @@ def test_lp_text_dump(vepc):
 
 
 def test_optimal_solutions_meet_residual_contract(vepc):
-    from corpus import make_toy
-
     for s in (vepc, make_toy(0), make_toy(7)):
         p = lp.build_problem(s)
         sol = lp.solve(p)

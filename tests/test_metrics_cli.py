@@ -238,6 +238,18 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert "line" in res.stderr
 
 
+def test_cli_nan_demand_exit_2(tmp_path):
+    from test_scenario_io import write_malformed
+
+    scen = tmp_path / "nan.json"
+    write_malformed(scen, "nan_demand")
+    out = tmp_path / "x.csv"
+    res = _cli("run", "--scenario", str(scen), "--strategies", "optiloop", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_infeasible_exit_3(tmp_path):
     from optiloop.scenario import scenario_to_dict
     import json as _json

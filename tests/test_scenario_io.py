@@ -171,6 +171,43 @@ def test_parse_error_carries_position(tmp_path):
     assert err.value.column is not None
 
 
+NAN, INF = float("nan"), float("inf")
+MALFORMED = {  # case -> (path into the fixture's document, value put there)
+    "max_delay_list": (("max_delay",), ["RRH", 1.0]),
+    "nan_demand": (("demand", 0, "rate"), NAN),
+    "inf_demand": (("demand", 0, "rate"), INF),
+    "nan_chi": (("chi", 0, "ratio"), NAN),
+    "inf_compute_per_bit": (("vnfs", 0, "compute_per_bit"), INF),
+    "nan_node_compute": (("nodes", 0, "k"), NAN),
+    "inf_switch_cost": (("nodes", 0, "rho"), INF),
+    "inf_capacity": (("links", 0, "capacity"), INF),
+    "nan_energy": (("energy", "idle_power"), NAN),
+    "neg_inf_energy": (("energy", "switch_energy_per_bit"), -INF),
+}
+
+
+def write_malformed(path, case):
+    """Write the two-node fixture's document spoiled as ``case`` says."""
+    doc = scenario_to_dict(vepc_two_node())
+    if case == "not_utf8":
+        path.write_bytes(json.dumps(doc).replace("RRH", "RRH\xe9").encode("latin-1"))
+        return
+    (*where, last), value = MALFORMED[case]
+    target = doc
+    for key in where:
+        target = target[key]
+    target[last] = value
+    path.write_text(json.dumps(doc))  # NaN and Infinity tokens load back as floats
+
+
+@pytest.mark.parametrize("case", ["not_utf8", *MALFORMED])
+def test_malformed_documents_raise_format_error(tmp_path, case):
+    path = tmp_path / "bad.json"
+    write_malformed(path, case)
+    with pytest.raises(ScenarioFormatError):
+        load_scenario(path)
+
+
 def test_generated_scenario_round_trips_with_provenance(tmp_path):
     s = generate(GeneratorParams(n_endpoints=2, n_nodes=3, rng_seed=5))
     path = tmp_path / "gen.json"

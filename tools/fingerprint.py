@@ -22,6 +22,10 @@ The cases:
 A decision enters as the ``repr`` of every binary and every flow of the
 final configuration, the loop's telemetry and the strategy stats without
 ``lp_solves``, and the CSV rows without the ``lp_solves`` column.
+
+The IIS cases are the all-on pinned problems of ``make_capacity_starved``
+and ``make_compute_starved`` for seeds 0-49; each enters as its
+``compute_iis`` constraint ids and families.
 """
 
 import contextlib
@@ -36,6 +40,7 @@ TOY_SEEDS = range(30)
 LOOP_SEEDS = (0, 1)
 SHIFTS = (None, 0.6, 1.6, 3.0)
 ROUNDS = 3
+STARVED_SEEDS = range(50)
 LADDER_SEEDS = (1, 2, 3)
 SWEEP_ARGV = [
     "run", "--generate", "--seed", "5", "--gen-endpoints", "1", "--gen-nodes", "3",
@@ -114,6 +119,27 @@ def fingerprint(checkout):
     return digest.hexdigest(), solves
 
 
+def iis_fingerprint():
+    """Hash and inner-solve total of the IISes on the starved instances;
+    call after ``fingerprint`` has put the checkout on ``sys.path``."""
+    from corpus import make_capacity_starved, make_compute_starved
+    from optiloop import lp
+    from optiloop.iis import compute_iis
+    from optiloop.loop import _all_on, _assignment_modes
+
+    digest = hashlib.sha256()
+    solves = 0
+    for seed in STARVED_SEEDS:
+        for maker in (make_capacity_starved, make_compute_starved):
+            s = maker(seed)
+            p = lp.build_problem(s)
+            report = compute_iis(lp._with_modes(p, _assignment_modes(p, *_all_on(s))))
+            solves += report.solves
+            parts = (maker.__name__, seed, report.constraint_ids, sorted(report.families))
+            digest.update(("\t".join(map(repr, parts)) + "\n").encode())
+    return digest.hexdigest(), solves
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -121,6 +147,9 @@ def main(argv):
     digest, solves = fingerprint(argv[0])
     print(digest)
     print(f"loop LP solves: {solves}")
+    digest, solves = iis_fingerprint()
+    print(digest)
+    print(f"IIS inner solves: {solves}")
     return 0
 
 
