@@ -1,11 +1,11 @@
 """Irreducible inconsistent subsystem extraction for infeasible problems.
 
-Works by deletion filtering: drop a constraint group, re-solve for
-feasibility, and discard the group permanently when the remainder is still
-infeasible.  Groups are (family, index) units; the link-gating family
-contributes two rows per link, so surviving multi-row groups get a second,
-row-level refinement pass.  Variable bounds and fixings are part of the
-system and are never deleted.
+Works by deletion filtering: drop a constraint row, re-solve for
+feasibility, and discard the row permanently when the remainder is still
+infeasible.  Each row is its own deletion unit, so the rows that survive
+one sweep form a minimal IIS (Chinneck & Dravnieks, ORSA J. Computing
+1991).  Variable bounds and fixings are part of the system and are never
+deleted.
 
 Two speedups keep this affordable inside the repair loop:
 
@@ -46,13 +46,6 @@ class IisReport:
         return family in self.families
 
 
-def _group_key(cid):
-    family, index = cid
-    if family == 3:
-        return (3, index[:2])
-    return cid
-
-
 def _feasible(p, rows):
     A, rhs, senses, c_free, _offset, _free, _orig = _assemble(p, row_subset=rows)
     res = solve_dense(c_free, A, rhs, senses, feasibility_only=True)
@@ -71,13 +64,11 @@ def compute_iis(p):
         raise NotInfeasible(f"problem status is {probe.status}")
     solves = 1
 
-    n_rows = len(p.constraints)
-    groups = {}
-    for r, con in enumerate(p.constraints):
-        groups.setdefault(_group_key(con.cid), []).append(r)
-    ordered = sorted(groups, key=lambda g: (_DELETION_ORDER[g[0]], g[1]))
-
-    kept = list(ordered)
+    cids = [con.cid for con in p.constraints]
+    ordered = sorted(
+        range(len(cids)), key=lambda r: (_DELETION_ORDER[cids[r][0]], cids[r][1])
+    )
+    kept = ordered
 
     # Farkas prefilter: restrict attention to the certificate's support when
     # that support is itself infeasible.  Processing caps are substitutable
@@ -86,44 +77,24 @@ def compute_iis(p):
     # compute row; pulling those in lets the sweep below keep the compute
     # family, which is the one downstream repair can act on.
     if probe.row_duals is not None:
-        support = {
-            _group_key(p.constraints[r].cid)
-            for r in np.where(np.abs(probe.row_duals) > 1e-9)[0]
-            if r < n_rows
-        }
-        for g in list(support):
-            if g[0] == 6:
-                twin = (7, (g[1][0],))
-                if twin in groups:
-                    support.add(twin)
+        support = set(np.flatnonzero(np.abs(probe.row_duals) > 1e-9).tolist())
+        row_of = {cid: r for r, cid in enumerate(cids)}
+        for r in list(support):
+            family, index = cids[r]
+            if family == 6 and (7, (index[0],)) in row_of:
+                support.add(row_of[(7, (index[0],))])
         if support and len(support) < len(kept):
-            candidate = [g for g in ordered if g in support]
-            rows = sorted(r for g in candidate for r in groups[g])
             solves += 1
-            if not _feasible(p, rows):
-                kept = candidate
+            if not _feasible(p, sorted(support)):
+                kept = [r for r in ordered if r in support]
 
-    def rows_of(grps):
-        return sorted(r for g in grps for r in groups[g])
-
-    # Group-level deletion sweep.
-    for g in list(kept):
-        trial = [h for h in kept if h != g]
+    # Row-level deletion sweep.
+    for r in list(kept):
+        trial = [q for q in kept if q != r]
         solves += 1
-        if not _feasible(p, rows_of(trial)):
+        if not _feasible(p, sorted(trial)):
             kept = trial
 
-    # Row-level refinement inside surviving multi-row groups.
-    kept_rows = rows_of(kept)
-    for g in [h for h in kept if len(groups[h]) > 1]:
-        for r in list(groups[g]):
-            if r not in kept_rows:
-                continue
-            trial = [q for q in kept_rows if q != r]
-            solves += 1
-            if not _feasible(p, trial):
-                kept_rows = trial
-
-    ids = tuple(sorted(p.constraints[r].cid for r in kept_rows))
+    ids = tuple(sorted(cids[r] for r in kept))
     families = frozenset(cid[0] for cid in ids)
     return IisReport(ids, families, solves)

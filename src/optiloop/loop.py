@@ -21,16 +21,20 @@ Each round then runs two procedures:
   placement) with the smallest relaxed value by pinning it to 0 and
   re-solving.  A feasible probe is adopted and the hunt restarts; the
   first rejected probe ends the phase.  Deactivating a node cascades to
-  its incident links and hosted instances.  An adopted probe's LP is the
-  next guidance LP, so its solution guides the next probe without another
-  solve; and a phase that starts where the previous one stopped on a
-  rejected probe is skipped, since it would only repeat that rejection.
+  its incident links and hosted instances.
+
+Every LP goes through ``_solve``, which remembers what this run has solved:
+a run never solves the same LP twice.  An adopted probe's LP is the next
+guidance LP, a repeated shutdown phase repeats its predecessor's solves, and
+a repair round opens on the pinned LP the previous phase closed on; all of
+these are memo hits.
 
 Ties in the probe argmin are broken link > node > placement, then
 lexicographically.  All randomness comes from one seeded generator, so runs
 are bit-reproducible.  Each phase emits one JSON telemetry line through the
-``optiloop.loop`` logger; its ``lp_solves`` counts the solves performed.
-A broken loop invariant raises ``InvariantBroken``.
+``optiloop.loop`` logger; its ``lp_solves`` counts the solves performed, so
+a phase whose LPs were all solved before reports 0.  A broken loop
+invariant raises ``InvariantBroken``.
 """
 
 import json
@@ -69,9 +73,10 @@ class LoopState:
     activations: int = 0
     deactivations: int = 0
     telemetry: list = field(default_factory=list)
-    # (base_problem, x, y, delta) where the last shutdown phase stopped on a
-    # rejected probe; None when it stopped for any other reason.
-    shutdown_stop: tuple = None
+    # (id of constraints, bytes of modes, fixed values, objective) ->
+    # (problem, solution) for every LP this run solved; holding the problem
+    # keeps its constraints tuple, and so that id, alive.
+    memo: dict = field(default_factory=dict)
 
     def count_solves(self, phase, n=1):
         self.lp_solves[phase] = self.lp_solves.get(phase, 0) + n
@@ -187,15 +192,11 @@ def _all_on(s):
     return x, y, delta
 
 
-def initial_solution(s, problem=None):
-    """Feasible starting point with everything switched on.
-
-    Raises InstanceInfeasible when even the all-on assignment admits no
-    flow routing, which condemns the instance as a whole.
-    """
-    p = problem if problem is not None else lp.build_problem(s)
+def _all_on_configuration(s, p, solve):
+    """The all-on assignment of ``p`` routed by ``solve``; InstanceInfeasible
+    when it admits no flow routing."""
     x, y, delta = _all_on(s)
-    sol = lp.solve(_assignment_problem(p, x, y, delta))
+    sol = solve(_assignment_problem(p, x, y, delta))
     if sol.status != "optimal":
         raise InstanceInfeasible(
             "no feasible routing exists with every element active", context="all_active"
@@ -203,17 +204,38 @@ def initial_solution(s, problem=None):
     return _configuration(s, x, y, delta, sol)
 
 
+def initial_solution(s, problem=None):
+    """Feasible starting point with everything switched on.
+
+    Raises InstanceInfeasible when even the all-on assignment admits no
+    flow routing, which condemns the instance as a whole.
+    """
+    p = problem if problem is not None else lp.build_problem(s)
+    return _all_on_configuration(s, p, lp.solve)
+
+
+def _solve(state, phase, p):
+    """Solution of ``p``, solved and counted for ``phase`` only the first
+    time this run meets that LP."""
+    arrays = (p.modes, p.fixed_values, p.objective)
+    key = (id(p.constraints), *(a.tobytes() for a in arrays))
+    if key not in state.memo:
+        state.memo[key] = (p, lp.solve(p))
+        state.count_solves(phase)
+    return state.memo[key][1]
+
+
 def start_loop(s, seed):
-    p = lp.build_problem(s)
-    cfg = initial_solution(s, p)
     state = LoopState(
         scenario=s,
-        current=cfg,
+        current=None,
         rng_seed=int(seed),
         rng=np.random.default_rng(int(seed)),
-        base_problem=p,
+        base_problem=lp.build_problem(s),
     )
-    state.count_solves("initial")
+    state.current = _all_on_configuration(
+        s, state.base_problem, lambda p: _solve(state, "initial", p)
+    )
     _emit(state, "initial", energy_before=None, activated=[], deactivated=[])
     return state
 
@@ -242,8 +264,7 @@ def _repair_weights(state, x, y, delta, relax, kind, candidates):
     guidance LP, which relaxes the binaries ``relax`` names; all 0 when that
     LP is infeasible."""
     p = _assignment_problem(state.base_problem, x, y, delta, relax)
-    guide = lp.solve(_guidance(p))
-    state.count_solves("fix_problems")
+    guide = _solve(state, "fix_problems", _guidance(p))
     if not guide.is_feasible:
         return [0.0] * len(candidates)
     return [guide.values.get(lp.VarRef(kind, key), 0.0) for key in candidates]
@@ -264,8 +285,7 @@ def fix_problems(state):
 
     while True:
         fixed_p = _assignment_problem(p0, x, y, delta)
-        sol = lp.solve(fixed_p)
-        state.count_solves("fix_problems")
+        sol = _solve(state, "fix_problems", fixed_p)
         if sol.status == "optimal":
             break
         report = compute_iis(fixed_p)
@@ -325,7 +345,7 @@ def fix_problems(state):
         energy_before,
         activated,
         [],
-        solves=state.lp_solves["fix_problems"] - solves_at_entry,
+        solves=state.lp_solves.get("fix_problems", 0) - solves_at_entry,
     )
     return state
 
@@ -379,16 +399,9 @@ def save_energy(state):
     y = dict(cfg.y)
     delta = dict(cfg.delta)
     energy_before = energy_of(s, cfg).total
-    stop = state.shutdown_stop
-    if stop is not None and stop[0] is p0 and stop[1:] == (x, y, delta):
-        # No randomness below: the same start repeats the same rejection.
-        _emit(state, "save_energy", energy_before, [], [], solves=0)
-        return state
-    state.shutdown_stop = None
     deactivated = []
     solves_at_entry = state.lp_solves.get("save_energy", 0)
     guard = sum(x.values()) + sum(y.values()) + sum(delta.values()) + 2
-    guide = None
 
     for _ in range(guard):
         # Probe kinds in tie-break rank order: link > node > placement.
@@ -400,13 +413,11 @@ def save_energy(state):
         if not any(keys for _, _, keys in active):
             break
 
-        if guide is None:
-            guide = lp.solve(_shutdown_problem(p0, x, y, delta))
-            state.count_solves("save_energy")
-            if not guide.is_feasible:
-                raise InvariantBroken(
-                    f"shutdown guidance LP is {guide.status} at a feasible operating point"
-                )
+        guide = _solve(state, "save_energy", _shutdown_problem(p0, x, y, delta))
+        if not guide.is_feasible:
+            raise InvariantBroken(
+                f"shutdown guidance LP is {guide.status} at a feasible operating point"
+            )
 
         best = None
         for kind, var, keys in active:
@@ -415,13 +426,9 @@ def save_energy(state):
                 best = (found[0], kind, found[1])
         _, kind, target = best
 
-        # The probe LP is the shutdown problem of the switched-off binaries,
-        # so an accepted probe's solution is the next guide.
         after = _switch_off(x, y, delta, kind, target)
-        probe = lp.solve(_shutdown_problem(p0, *after))
-        state.count_solves("save_energy")
+        probe = _solve(state, "save_energy", _shutdown_problem(p0, *after))
         if not probe.is_feasible:
-            state.shutdown_stop = (p0, x, y, delta)
             break
 
         state.current = _configuration(s, *after, probe)
@@ -437,13 +444,11 @@ def save_energy(state):
         deactivated.append((kind, target))
         state.deactivations += 1
         x, y, delta = after
-        guide = probe
 
     if deactivated:
         # The probe's flows optimize a partially relaxed problem; the enacted
         # operating point routes optimally for the binaries actually kept.
-        final = lp.solve(_assignment_problem(p0, x, y, delta))
-        state.count_solves("save_energy")
+        final = _solve(state, "save_energy", _assignment_problem(p0, x, y, delta))
         if final.is_feasible:
             state.current = _configuration(s, x, y, delta, final)
 
@@ -453,7 +458,7 @@ def save_energy(state):
         energy_before,
         [],
         deactivated,
-        solves=state.lp_solves["save_energy"] - solves_at_entry,
+        solves=state.lp_solves.get("save_energy", 0) - solves_at_entry,
     )
     return state
 

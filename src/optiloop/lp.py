@@ -597,27 +597,27 @@ def _fmt(x):
 
 def to_lp_text(p):
     """Serialize the problem (with its current modes) in CPLEX LP format."""
+    names = [var_name(ref) for ref in p.variables]
     lines = ["Minimize", " obj:"]
     terms = []
-    for ref, coef in zip(p.variables, p.objective):
+    for name, coef in zip(names, p.objective):
         if coef != 0.0:
-            terms.append(f" + {_fmt(coef)} {var_name(ref)}")
+            terms.append(f" + {_fmt(coef)} {name}")
     lines[1] += "".join(terms) if terms else " 0"
     lines.append("Subject To")
     for con in p.constraints:
         parts = []
         for pos, coef in con.terms:
-            ref = p.variables[pos]
             sign = "+" if coef >= 0 else "-"
-            parts.append(f" {sign} {_fmt(abs(coef))} {var_name(ref)}")
+            parts.append(f" {sign} {_fmt(abs(coef))} {names[pos]}")
         op = "<=" if con.sense == "le" else "="
         lines.append(f" {row_name(con.cid)}:{''.join(parts)} {op} {_fmt(con.rhs)}")
     lines.append("Bounds")
-    for pos, ref in enumerate(p.variables):
+    for pos, name in enumerate(names):
         mode = p.modes[pos]
         if mode == MODE_FIXED:
-            lines.append(f" {var_name(ref)} = {_fmt(p.fixed_values[pos])}")
+            lines.append(f" {name} = {_fmt(p.fixed_values[pos])}")
         elif mode == MODE_RELAXED:
-            lines.append(f" 0 <= {var_name(ref)} <= 1")
+            lines.append(f" 0 <= {name} <= 1")
     lines.append("End")
     return "\n".join(lines) + "\n"

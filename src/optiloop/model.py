@@ -264,9 +264,11 @@ class Scenario:
         for e, ok in attached.items():
             if not ok:
                 raise ShapeMismatch(f"endpoint {e} has no attached link")
-        for e in self.max_delay:
+        for e, bound in self.max_delay.items():
             if e not in lg.endpoints:
                 raise ShapeMismatch(f"max_delay references unknown endpoint {e}")
+            if not 0 <= bound < math.inf:
+                raise ShapeMismatch(f"max_delay({e}) must be finite and nonnegative")
 
     # Convenience views used all over the package -------------------------
 

@@ -94,15 +94,19 @@ def test_initial_detects_doomed_instance():
 
 
 def test_noop_on_feasible_state_solves_once(vepc):
-    state = start_loop(vepc, seed=0)
-    before = dict(state.lp_solves)
-    cfg_before = state.current
-    fix_problems(state)
-    assert state.lp_solves["fix_problems"] - before.get("fix_problems", 0) == 1
-    assert state.current.x == cfg_before.x
-    assert state.current.y == cfg_before.y
-    assert state.current.delta == cfg_before.delta
-    assert state.activations == 0
+    # Right after start_loop the pinned check is the all-on LP already
+    # solved; from an empty memo it is solved exactly once.
+    started = start_loop(vepc, seed=0)
+    fresh = _state_for(vepc, started.current)
+    for state, solves in ((started, 0), (fresh, 1)):
+        cfg_before = state.current
+        fix_problems(state)
+        assert state.lp_solves.get("fix_problems", 0) == solves
+        assert state.telemetry[-1]["lp_solves"] == solves
+        assert state.current.x == cfg_before.x
+        assert state.current.y == cfg_before.y
+        assert state.current.delta == cfg_before.delta
+        assert state.activations == 0
 
 
 def _two_path_scenario():
@@ -375,7 +379,8 @@ def test_repeated_shutdown_phase_is_skipped():
     for seed in range(8):
         state = start_loop(make_toy(seed), seed=0)
         save_energy(state)
-        if state.shutdown_stop is None:
+        if not (state.current.active_links() or state.current.active_nodes()
+                or state.current.deployments()):
             continue  # drained everything; nothing was rejected
         solves = state.lp_solves["save_energy"]
         cfg = state.current
@@ -385,7 +390,7 @@ def test_repeated_shutdown_phase_is_skipped():
         assert state.telemetry[-1]["deactivated"] == []
         assert state.current is cfg
         # Running the phase for real from the same start rejects again.
-        state.shutdown_stop = None
+        state.memo.clear()
         save_energy(state)
         assert state.lp_solves["save_energy"] == solves + 2
         assert (state.current.x, state.current.y, state.current.delta) == (
@@ -403,6 +408,28 @@ def test_shutdown_skip_does_not_survive_demand_swap(vepc):
     assert [rec["round"] for rec in shutdown] == [0, 1, 2]
     assert shutdown[1]["lp_solves"] > 0  # new base problem: solved afresh
     assert shutdown[2]["lp_solves"] == 0  # same problem, same binaries: skipped
+
+
+@pytest.mark.parametrize("factor", [None, 3.0])
+def test_run_never_solves_the_same_lp_twice(monkeypatch, factor):
+    solved = []  # (key, problem); the problem keeps its constraints' id alive
+    real_solve = lp.solve
+
+    def spy_solve(p, *args, **kwargs):
+        key = (id(p.constraints), p.modes.tobytes(), p.fixed_values.tobytes(),
+               p.objective.tobytes())
+        solved.append((key, p))
+        return real_solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", spy_solve)
+    for seed in range(30):
+        s = make_toy(seed)
+        solved.clear()
+        with contextlib.suppress(InstanceInfeasible):
+            run_loop(s, seed=0, rounds=3, scenario_hook=lambda r, st, s=s: (
+                scale_demand(s, factor) if factor and r == 1 else None))
+        keys = [key for key, _ in solved]
+        assert len(keys) == len(set(keys)), f"toy {seed} repeats a solve"
 
 
 def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):

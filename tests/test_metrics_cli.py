@@ -238,11 +238,12 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert "line" in res.stderr
 
 
-def test_cli_nan_demand_exit_2(tmp_path):
+@pytest.mark.parametrize("case", ["nan_demand", "nan_max_delay"])
+def test_cli_nan_demand_exit_2(tmp_path, case):
     from test_scenario_io import write_malformed
 
     scen = tmp_path / "nan.json"
-    write_malformed(scen, "nan_demand")
+    write_malformed(scen, case)
     out = tmp_path / "x.csv"
     res = _cli("run", "--scenario", str(scen), "--strategies", "optiloop", "--out", str(out))
     assert res.returncode == 2

@@ -183,6 +183,9 @@ MALFORMED = {  # case -> (path into the fixture's document, value put there)
     "inf_capacity": (("links", 0, "capacity"), INF),
     "nan_energy": (("energy", "idle_power"), NAN),
     "neg_inf_energy": (("energy", "switch_energy_per_bit"), -INF),
+    "nan_max_delay": (("max_delay", "RRH"), NAN),
+    "inf_max_delay": (("max_delay", "RRH"), INF),
+    "neg_max_delay": (("max_delay", "RRH"), -1.0),
 }
 
 

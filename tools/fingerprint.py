@@ -25,7 +25,11 @@ final configuration, the loop's telemetry and the strategy stats without
 
 The IIS cases are the all-on pinned problems of ``make_capacity_starved``
 and ``make_compute_starved`` for seeds 0-49; each enters as its
-``compute_iis`` constraint ids and families.
+``compute_iis`` constraint ids and families.  The third and fourth lines
+are their hash and inner-solve total.
+
+The fifth line splits the toy runs' LP solves by loop phase, so a change in
+the total on the second line shows where it comes from.
 """
 
 import contextlib
@@ -49,6 +53,7 @@ SWEEP_ARGV = [
     "--seeds", "0,1", "--rounds", "3",
 ]  # fmt: skip
 CONFIG_FIELDS = ("x", "y", "delta", "tau", "transit", "processed")
+PHASES = ("initial", "fix_problems", "save_energy")
 
 
 def _config(cfg):
@@ -71,6 +76,7 @@ def fingerprint(checkout):
 
     digest = hashlib.sha256()
     solves = 0
+    by_phase = dict.fromkeys(PHASES, 0)
 
     def feed(*parts):
         digest.update(("\t".join(map(str, parts)) + "\n").encode())
@@ -93,6 +99,8 @@ def fingerprint(checkout):
                     outcome = f"{type(exc).__name__}: {exc}"
                 state = seen[0]
                 solves += state.total_solves()
+                for phase, n in state.lp_solves.items():
+                    by_phase[phase] += n
                 feed(outcome, state.activations, state.deactivations)
                 for record in state.telemetry:
                     feed(_without_solves(record))
@@ -116,7 +124,7 @@ def fingerprint(checkout):
         if row["strategy"] == "optiloop":
             solves += int(row["lp_solves"])
         feed(_without_solves(row))
-    return digest.hexdigest(), solves
+    return digest.hexdigest(), solves, by_phase
 
 
 def iis_fingerprint():
@@ -144,12 +152,14 @@ def main(argv):
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    digest, solves = fingerprint(argv[0])
+    digest, solves, by_phase = fingerprint(argv[0])
     print(digest)
     print(f"loop LP solves: {solves}")
     digest, solves = iis_fingerprint()
     print(digest)
     print(f"IIS inner solves: {solves}")
+    print("toy loop LP solves by phase: "
+          + ", ".join(f"{phase} {n}" for phase, n in by_phase.items()))  # fmt: skip
     return 0
 
 
