@@ -81,8 +81,9 @@ def compute_iis(p):
         row_of = {cid: r for r, cid in enumerate(cids)}
         for r in list(support):
             family, index = cids[r]
-            if family == 6 and (7, (index[0],)) in row_of:
-                support.add(row_of[(7, (index[0],))])
+            twin = row_of.get((7, (index[0],))) if family == 6 else None
+            if twin is not None:
+                support.add(twin)
         if support and len(support) < len(kept):
             solves += 1
             if not _feasible(p, sorted(support)):

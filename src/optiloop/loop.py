@@ -493,6 +493,7 @@ def run_loop(s, seed, rounds, scenario_hook=None):
             if swapped is not None and swapped is not state.scenario:
                 state.scenario = swapped
                 state.base_problem = lp.build_problem(swapped)
+                state.memo.clear()  # no LP of the old problem recurs
         fix_problems(state)
         _check_invariant(state)
         save_energy(state)

@@ -432,6 +432,16 @@ def test_run_never_solves_the_same_lp_twice(monkeypatch, factor):
         assert len(keys) == len(set(keys)), f"toy {seed} repeats a solve"
 
 
+def test_demand_swap_drops_the_old_problems_solutions():
+    s = make_toy(3)
+    state = run_loop(
+        s, seed=0, rounds=4, scenario_hook=lambda r, st: scale_demand(s, 1.0 + r / 10)
+    )
+    current = state.base_problem.constraints
+    assert state.memo
+    assert all(p.constraints is current for p, _ in state.memo.values())
+
+
 def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):
     state = start_loop(vepc, seed=0)
     monkeypatch.setattr(
