@@ -9,12 +9,34 @@ deterministic lowest-index tie-break and falls back to Bland's rule
 permanently once the objective stalls, which guarantees termination on
 degenerate instances.  Identical inputs always produce identical outputs.
 
-A pivot eliminates the entering column only from the rows where it is
-nonzero.  The tableaux of the problems this package builds stay sparse, so
-a pivot touches a fraction of the rows (about a quarter on generated 2×4
-instances); the rows it skips would only have had zero subtracted from
-them, so every entry it does update gets the same floating-point operation
-as under a full-tableau update.
+Tableau layout.  ``D`` has ``m + 2`` rows and ``ncols + 1`` columns.  Rows
+``0..m-1`` are the constraints, row ``m`` is the phase-one objective (the
+sum of the artificials) and row ``m + 1`` the phase-two objective; the
+columns are the structural variables, the slacks of the ``le`` rows, the
+artificials, and the right-hand side last.  ``basis[i]`` is the column basic
+in constraint row ``i``.  The artificials are the trailing columns, so the
+columns allowed to enter in phase two are a leading slice.
+
+Same operations.  A pivot divides the pivot row by the pivot entry, then
+subtracts ``D[i, col] * D[row]`` from every other row ``i`` whose entry in
+the pivot column is nonzero, objective rows included, in one rank-1 update.
+That is the operation a full-tableau update applies to every entry; the rows
+it skips would only have had zero subtracted from them, and an objective row
+is updated by the same product as a constraint row.  The tableaux of the
+problems this package builds stay sparse, so a pivot touches a fraction of
+the rows (about a quarter on generated 2×4 instances).  The ratio test
+divides the same right-hand side by the same column entries and keeps the
+same tolerance band around the best ratio, so every pivot, and with it every
+status, point, objective, dual and iteration count, is the one a
+row-by-row implementation of these rules produces; only the sign of a zero
+can differ.
+
+Ratio ties.  Among the rows within the band, the leaving row is the one
+whose basic variable is artificial, and then the one with the lowest basic
+column index.  Basic columns are distinct and every artificial column index
+is below ``ncols``, so the key ``b`` for an artificial basic column ``b``
+and ``b + ncols`` for any other orders the candidates exactly that way
+without a tie, and one ``argmin`` over it picks the same row.
 
 The scale of the problems this package builds is a few hundred rows, so a
 dense tableau beats anything cleverer.
@@ -42,56 +64,60 @@ class SimplexResult:
     iterations: int
 
 
-def _pivot_once(D, rows_z, basis, col, row):
-    piv = D[row, col]
-    D[row] /= piv
-    rows = np.flatnonzero(D[:, col])
-    rows = rows[rows != row]
-    D[rows] -= np.outer(D[rows, col], D[row])
-    D[:, col] = 0.0
+def _pivot_once(D, basis, col, row):
+    D[row] /= D[row, col]
+    pivot_col = D[:, col]
+    # With the pivot entry at 0 the pivot row is not among the rows to
+    # update, and the update leaves the pivot column alone; it is reset
+    # after.  Every other updated entry gets D[i, j] - D[i, col] * D[row, j].
+    D[row, col] = 0.0
+    rows = pivot_col.nonzero()[0]
+    D[rows] -= np.outer(pivot_col[rows], D[row])
+    pivot_col[:] = 0.0
     D[row, col] = 1.0
-    for z in rows_z:
-        if z[col] != 0.0:
-            z -= z[col] * D[row]
-            z[col] = 0.0
     basis[row] = col
 
 
-def _run_phase(D, z, other_z, basis, allowed, is_artificial, maxiter, iters, check_unbounded):
-    """Pivot until the reduced costs allowed to enter are nonnegative.
+def _run_phase(D, z, n_enter, basis, is_artificial, maxiter, iters, check_unbounded):
+    """Pivot until the reduced costs of the first ``n_enter`` columns, those
+    allowed to enter, are nonnegative; ``z`` is the phase's objective row.
 
     Returns (status, iterations).  status is 'optimal' or 'unbounded'.
     """
-    m = D.shape[0]
+    m = basis.size
+    ncols = is_artificial.size
+    rc = z[:n_enter]
+    rhs = D[:m, -1]
+    ratios = np.empty(m)
     bland = False
     stall = 0
     stall_limit = 10 * (m + 20)
     best = np.inf
     while True:
-        rc = z[:-1]
         if bland:
-            cand = np.where(allowed & (rc < -PIVOT_TOL))[0]
+            cand = (rc < -PIVOT_TOL).nonzero()[0]
             if cand.size == 0:
                 return "optimal", iters
             col = int(cand[0])
         else:
-            masked = np.where(allowed, rc, np.inf)
-            col = int(np.argmin(masked))
-            if masked[col] >= -PIVOT_TOL:
+            col = int(rc.argmin())
+            if rc[col] >= -PIVOT_TOL:
                 return "optimal", iters
-        colvals = D[:, col]
+        colvals = D[:m, col]
         elig = colvals > PIVOT_TOL
-        if not np.any(elig):
+        if not elig.any():
             if check_unbounded:
                 return "unbounded", iters
             # Phase one is bounded below; a ray here is numerical noise.
             return "optimal", iters
-        ratios = np.where(elig, D[:, -1] / np.where(elig, colvals, 1.0), np.inf)
+        ratios.fill(np.inf)
+        np.divide(rhs, colvals, out=ratios, where=elig)
         best_ratio = ratios.min()
-        near = np.where(ratios <= best_ratio + PIVOT_TOL * (1.0 + abs(best_ratio)))[0]
+        near = (ratios <= best_ratio + PIVOT_TOL * (1.0 + abs(best_ratio))).nonzero()[0]
         # Prefer kicking artificials out of the basis, then lowest basic index.
-        row = int(min(near, key=lambda r: (not is_artificial[basis[r]], basis[r])))
-        _pivot_once(D, [z] + other_z, basis, col, row)
+        b = basis[near]
+        row = int(near[np.where(is_artificial[b], b, b + ncols).argmin()])
+        _pivot_once(D, basis, col, row)
         iters += 1
         obj = -z[-1]
         if obj < best - 1e-12 * (1.0 + abs(best)):
@@ -116,8 +142,8 @@ def solve_dense(c, A, b, senses, feasibility_only=False):
             return SimplexResult("unbounded", np.zeros(n), -np.inf, np.zeros(0), 0.0, 0)
         return SimplexResult("optimal", np.zeros(n), 0.0, np.zeros(0), 0.0, 0)
 
-    senses = list(senses)
-    le_rows = [i for i, s in enumerate(senses) if s == "le"]
+    is_le = np.array([s == "le" for s in senses], dtype=bool)
+    le_rows = is_le.nonzero()[0]
 
     # Row equilibration.
     scale = np.abs(A).max(axis=1)
@@ -125,102 +151,82 @@ def solve_dense(c, A, b, senses, feasibility_only=False):
     A = A / scale[:, None]
     b = b / scale
 
-    # Slack columns, then flip rows with negative rhs.
-    n_slack = len(le_rows)
-    S = np.zeros((m, n_slack))
-    for k, i in enumerate(le_rows):
-        S[i, k] = 1.0
-    M = np.hstack([A, S])
-    flip = np.ones(m)
+    # Flip rows with negative rhs.  Artificials go where no natural basis
+    # column exists: eq rows and flipped le rows (their slack coefficient is
+    # then -1).
     neg = b < 0
-    flip[neg] = -1.0
-    M[neg] *= -1.0
+    flip = np.where(neg, -1.0, 1.0)
     b = b * flip
+    art_rows = (~is_le | neg).nonzero()[0]
+    n_slack, n_art = le_rows.size, art_rows.size
+    n_real = n + n_slack
+    ncols = n_real + n_art
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n_real + np.arange(n_art)
 
-    # Artificials where no natural basis column exists: eq rows and flipped
-    # le rows (their slack coefficient is now -1).
-    slack_col = {i: n + k for k, i in enumerate(le_rows)}
-    art_rows = [i for i in range(m) if senses[i] == "eq" or flip[i] < 0]
-    n_art = len(art_rows)
-    ncols = n + n_slack + n_art
-    D = np.zeros((m, ncols + 1))
-    D[:, : n + n_slack] = M
-    D[:, -1] = b
+    D = np.zeros((m + 2, ncols + 1))
+    D[:m, :n] = A
+    D[le_rows, slack_cols] = 1.0
+    D[:m, :n_real][neg] *= -1.0
+    D[art_rows, art_cols] = 1.0
+    D[:m, -1] = b
     basis = np.empty(m, dtype=int)
-    art_col = {}
-    for k, i in enumerate(art_rows):
-        j = n + n_slack + k
-        D[i, j] = 1.0
-        basis[i] = j
-        art_col[i] = j
-    for i in range(m):
-        if i not in art_col:
-            basis[i] = slack_col[i]
+    basis[le_rows] = slack_cols
+    basis[art_rows] = art_cols
     is_artificial = np.zeros(ncols, dtype=bool)
-    is_artificial[n + n_slack :] = True
+    is_artificial[n_real:] = True
 
     maxiter = 500 + 30 * (m + ncols)
 
-    # Phase one: minimize the sum of artificials.
-    c1 = np.zeros(ncols + 1)
-    c1[n + n_slack :] = 1.0
-    c1[-1] = 0.0
-    z1 = c1.copy()
+    # Phase one minimizes the sum of the artificials; the phase-two row
+    # starts at c, since every initial basic column costs 0 there.
+    z1, z2 = D[m], D[m + 1]
+    z1[n_real:ncols] = 1.0
     for i in art_rows:
         z1 -= D[i]
-    c2 = np.zeros(ncols + 1)
-    c2[:n] = c
-    z2 = c2.copy()
-    basic_cost = c2[basis]
-    nz = np.nonzero(basic_cost)[0]
-    if nz.size:
-        z2 -= basic_cost[nz] @ D[nz]
-    allowed = np.ones(ncols, dtype=bool)
+    z2[:n] = c
     status, iters = _run_phase(
-        D, z1, [z2], basis, allowed, is_artificial, maxiter, 0, check_unbounded=False
+        D, z1, ncols, basis, is_artificial, maxiter, 0, check_unbounded=False
     )
     phase1_obj = -z1[-1]
 
-    def recover_duals(zrow):
-        # Every row holds either a slack or an artificial unit column, so the
-        # row's dual is read off that column's reduced cost.
+    # Every row holds either a slack or an artificial unit column, so the
+    # row's dual is read off that column's reduced cost: the artificial's for
+    # artificial rows, the slack's for the le rows that were not flipped.
+    plain_le = le_rows[~neg[le_rows]]
+    plain_slack = slack_cols[~neg[le_rows]]
+
+    def recover_duals(zrow, art_cost):
         y = np.zeros(m)
-        for i in range(m):
-            if i in art_col:
-                y[i] = c1[art_col[i]] if zrow is z1 else 0.0
-                y[i] -= zrow[art_col[i]]
-            else:
-                y[i] = -zrow[slack_col[i]]
+        y[art_rows] = art_cost - zrow[art_cols]
+        y[plain_le] = -zrow[plain_slack]
         return y * flip / scale
 
     if phase1_obj > FEAS_TOL:
-        duals = recover_duals(z1)
+        duals = recover_duals(z1, 1.0)
         return SimplexResult("infeasible", None, np.inf, duals, phase1_obj, iters)
 
     if feasibility_only:
         x = np.zeros(ncols)
-        x[basis] = D[:, -1]
+        x[basis] = D[:m, -1]
         return SimplexResult("optimal", x[:n], float(c @ x[:n]), None, phase1_obj, iters)
 
     # Drive surviving artificials out of the basis where possible; rows where
     # no pivot exists are redundant and their artificial stays basic at zero.
     for i in range(m):
-        j = basis[i]
-        if is_artificial[j]:
-            row = D[i, : n + n_slack]
-            cands = np.where(np.abs(row) > PIVOT_TOL)[0]
+        if is_artificial[basis[i]]:
+            cands = (np.abs(D[i, :n_real]) > PIVOT_TOL).nonzero()[0]
             if cands.size:
-                _pivot_once(D, [z1, z2], basis, int(cands[0]), i)
+                _pivot_once(D, basis, int(cands[0]), i)
                 iters += 1
 
-    allowed = ~is_artificial
     status, iters = _run_phase(
-        D, z2, [z1], basis, allowed, is_artificial, maxiter, iters, check_unbounded=True
+        D, z2, n_real, basis, is_artificial, maxiter, iters, check_unbounded=True
     )
     if status == "unbounded":
         return SimplexResult("unbounded", None, -np.inf, None, phase1_obj, iters)
 
     x = np.zeros(ncols)
-    x[basis] = D[:, -1]
-    duals = recover_duals(z2)
+    x[basis] = D[:m, -1]
+    duals = recover_duals(z2, 0.0)
     return SimplexResult("optimal", x[:n], float(c @ x[:n]), duals, phase1_obj, iters)

@@ -1,9 +1,14 @@
-"""The built-in solver against hand cases and an independent reference."""
+"""The built-in solver against hand cases, an independent reference and a
+frozen copy of its earlier kernel (``reference_simplex``)."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import reference_simplex
+from corpus import make_capacity_starved, make_compute_starved, make_toy
+from optiloop import lp
+from optiloop.loop import _all_on, _assignment_modes
 from optiloop.simplex import _pivot_once, solve_dense
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -163,15 +168,83 @@ def test_row_restricted_pivot_matches_full_update():
     rng = np.random.default_rng(17)
     for _ in range(200):
         m, n = int(rng.integers(2, 40)), int(rng.integers(2, 60))
-        D = np.where(rng.random((m, n)) < 0.15, rng.normal(size=(m, n)), 0.0)
+        # m constraint rows, then the phase-one and phase-two objective rows.
+        D = np.where(rng.random((m + 2, n)) < 0.15, rng.normal(size=(m + 2, n)), 0.0)
         row, col = int(rng.integers(m)), int(rng.integers(n - 1))
         D[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        z = rng.normal(size=n)
+        D[m:] = rng.normal(size=(2, n))
+        D[m + int(rng.integers(2)), col] = 0.0
         basis = np.arange(m)
-        want = (D.copy(), z.copy(), basis.copy())
-        _pivot_full(want[0], [want[1]], want[2], col, row)
-        _pivot_once(D, [z], basis, col, row)
+        want = (D.copy(), basis.copy())
+        _pivot_full(want[0][:m], [want[0][m], want[0][m + 1]], want[1], col, row)
+        _pivot_once(D, basis, col, row)
         # Skipped rows keep a -0.0 the full update would have made +0.0.
-        assert np.array_equal(D + 0.0, want[0] + 0.0)
-        assert np.array_equal(z + 0.0, want[1] + 0.0)
-        assert np.array_equal(basis, want[2])
+        assert np.array_equal(D[:m] + 0.0, want[0][:m] + 0.0)
+        assert np.array_equal(D[m:] + 0.0, want[0][m:] + 0.0)
+        assert np.array_equal(basis, want[1])
+
+
+def _assert_same_result(got, want):
+    """Every output of ``solve_dense`` equal to the reference's, bit for bit;
+    only the sign of a zero may differ."""
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.phase1_objective == want.phase1_objective
+    assert got.objective == want.objective
+    for mine, ref in ((got.x, want.x), (got.row_duals, want.row_duals)):
+        assert (mine is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(mine + 0.0, ref + 0.0)
+
+
+def test_matches_frozen_reference_bit_for_bit_on_random_lps():
+    rng = np.random.default_rng(23)
+    statuses = {}
+    for trial in range(360):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        A = np.round(rng.normal(size=(m, n)), 2) * (rng.random((m, n)) < 0.6)
+        b = np.round(rng.normal(size=m), 2)  # about half negative
+        c = np.round(rng.normal(size=n), 2)
+        if trial % 3 == 0:
+            # Small integers and zero right-hand sides: degenerate vertices
+            # and ratio ties.
+            A = np.round(2 * A)
+            b[rng.random(m) < 0.5] = 0.0
+        if trial % 3 == 1:
+            c = np.abs(c)  # bounded below, so mostly optimal or infeasible
+        senses = ["le" if u < 0.6 else "eq" for u in rng.random(m)]
+        feasibility_only = trial % 10 == 0
+        want = reference_simplex.solve_dense(c, A, b, senses, feasibility_only)
+        got = solve_dense(c, A, b, senses, feasibility_only)
+        _assert_same_result(got, want)
+        statuses[want.status] = statuses.get(want.status, 0) + 1
+    assert min(statuses.get(k, 0) for k in ("optimal", "infeasible", "unbounded")) >= 30
+
+
+def test_matches_frozen_reference_bit_for_bit_on_degenerate_cycling_lp():
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    A = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    senses = ["le", "le", "le"]
+    _assert_same_result(
+        solve_dense(c, A, b, senses), reference_simplex.solve_dense(c, A, b, senses)
+    )
+
+
+def _toy_lps(seed):
+    toy = make_toy(seed)
+    yield lp.build_problem(toy)
+    for s in (toy, make_capacity_starved(seed), make_compute_starved(seed)):
+        p = lp.build_problem(s)
+        yield lp._with_modes(p, _assignment_modes(p, *_all_on(s)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_frozen_reference_bit_for_bit_on_toy_lps(seed):
+    statuses = set()
+    for p in _toy_lps(seed):
+        A, rhs, senses, c, _offset, _free, _orig = lp._assemble(p)
+        want = reference_simplex.solve_dense(c, A, rhs, senses)
+        _assert_same_result(solve_dense(c, A, rhs, senses), want)
+        statuses.add(want.status)
+    assert statuses == {"optimal", "infeasible"}

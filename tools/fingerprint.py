@@ -30,6 +30,12 @@ are their hash and inner-solve total.
 
 The fifth line splits the toy runs' LP solves by loop phase, so a change in
 the total on the second line shows where it comes from.
+
+The sixth line is the total ``SimplexResult.iterations`` over every
+``solve_dense`` call the cases above make, counted by a spy wrapped around
+``solve_dense`` wherever an optiloop module has imported it.  Two simplex
+kernels that pivot identically print the same total, so a kernel change that
+must keep every pivot shows it as one number.
 """
 
 import contextlib
@@ -64,9 +70,9 @@ def _without_solves(record):
     return repr(sorted((k, v) for k, v in record.items() if k != "lp_solves"))
 
 
-def fingerprint(checkout):
-    root = Path(checkout).resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+def fingerprint():
+    """Decisions hash, loop solve total and per-phase split of the toy runs,
+    the ladder strategies and the CLI sweep."""
     from corpus import make_toy
     from optiloop import cli
     from optiloop.baselines import all_active, consolidation, optiloop_strategy
@@ -128,8 +134,7 @@ def fingerprint(checkout):
 
 
 def iis_fingerprint():
-    """Hash and inner-solve total of the IISes on the starved instances;
-    call after ``fingerprint`` has put the checkout on ``sys.path``."""
+    """Hash and inner-solve total of the IISes on the starved instances."""
     from corpus import make_capacity_starved, make_compute_starved
     from optiloop import lp
     from optiloop.iis import compute_iis
@@ -148,11 +153,34 @@ def iis_fingerprint():
     return digest.hexdigest(), solves
 
 
+def _count_iterations():
+    """Wrap every optiloop module's ``solve_dense`` in a spy; returns a list
+    whose one entry is the running total of simplex iterations."""
+    from optiloop import simplex  # the package imports every module that uses it
+
+    total = [0]
+    original = simplex.solve_dense
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        total[0] += result.iterations
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("optiloop") and getattr(module, "solve_dense", None) is original:
+            module.solve_dense = spy
+    return total
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    digest, solves, by_phase = fingerprint(argv[0])
+    root = Path(argv[0]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+
+    iterations = _count_iterations()
+    digest, solves, by_phase = fingerprint()
     print(digest)
     print(f"loop LP solves: {solves}")
     digest, solves = iis_fingerprint()
@@ -160,6 +188,7 @@ def main(argv):
     print(f"IIS inner solves: {solves}")
     print("toy loop LP solves by phase: "
           + ", ".join(f"{phase} {n}" for phase, n in by_phase.items()))  # fmt: skip
+    print(f"simplex iterations: {iterations[0]}")
     return 0
 
 
