@@ -52,17 +52,24 @@ def _feasible(p, rows):
     return res.status != "infeasible"
 
 
-def compute_iis(p):
+def compute_iis(p, solution=None):
     """Extract one deterministic IIS from an infeasible problem.
+
+    ``solution`` is ``lp.solve(p)`` when the caller already has it; the
+    opening feasibility solve is then skipped, since phase one, and with it
+    the Farkas certificate, is the same with or without the optimization
+    phase.  ``IisReport.solves`` counts only the solves made here.
 
     Raises NotInfeasible when the problem solves.  The result is minimal:
     removing any single reported constraint leaves a feasible remainder
     (given the problem's variable bounds).
     """
-    probe = solve(p, feasibility_only=True)
-    if probe.status != "infeasible":
-        raise NotInfeasible(f"problem status is {probe.status}")
-    solves = 1
+    solves = 0
+    if solution is None:
+        solution = solve(p, feasibility_only=True)
+        solves = 1
+    if solution.status != "infeasible":
+        raise NotInfeasible(f"problem status is {solution.status}")
 
     cids = [con.cid for con in p.constraints]
     ordered = sorted(
@@ -76,8 +83,8 @@ def compute_iis(p):
     # certificate built on the per-deployment rows also admits the node
     # compute row; pulling those in lets the sweep below keep the compute
     # family, which is the one downstream repair can act on.
-    if probe.row_duals is not None:
-        support = set(np.flatnonzero(np.abs(probe.row_duals) > 1e-9).tolist())
+    if solution.row_duals is not None:
+        support = set(np.flatnonzero(np.abs(solution.row_duals) > 1e-9).tolist())
         row_of = {cid: r for r, cid in enumerate(cids)}
         for r in list(support):
             family, index = cids[r]

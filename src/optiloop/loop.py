@@ -288,7 +288,7 @@ def fix_problems(state):
         sol = _solve(state, "fix_problems", fixed_p)
         if sol.status == "optimal":
             break
-        report = compute_iis(fixed_p)
+        report = compute_iis(fixed_p, sol)
         state.count_solves("fix_problems", report.solves)
         before = len(activated)
 

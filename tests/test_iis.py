@@ -97,6 +97,17 @@ def test_minimality_every_member_essential():
                 )
 
 
+def test_loop_solution_saves_the_opening_solve():
+    for seed in range(50):
+        for maker in (make_capacity_starved, make_compute_starved):
+            fp = _all_on_problem(maker(seed))
+            fresh = compute_iis(fp)
+            given = compute_iis(fp, solution=lp.solve(fp))
+            assert given.constraint_ids == fresh.constraint_ids
+            assert given.families == fresh.families
+            assert given.solves == fresh.solves - 1
+
+
 def test_deterministic_output():
     fp = _all_on_problem(make_compute_starved(1))
     r1 = compute_iis(fp)

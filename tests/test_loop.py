@@ -258,7 +258,9 @@ def test_repair_without_actionable_family_diverges(monkeypatch):
     state = _state_for(scale_demand(s, 100.0), cfg, seed=0)
     # An IIS of flow-balance rows only names nothing to switch on.
     monkeypatch.setattr(
-        loop, "compute_iis", lambda p: IisReport(((1, ("m1",)),), frozenset({1}), 3)
+        loop,
+        "compute_iis",
+        lambda p, solution=None: IisReport(((1, ("m1",)),), frozenset({1}), 3),
     )
     with pytest.raises(RepairDiverged, match=r"IIS families \[1\]"):
         fix_problems(state)
