@@ -185,7 +185,7 @@ def solve_dense(c, A, b, senses, feasibility_only=False):
     for i in art_rows:
         z1 -= D[i]
     z2[:n] = c
-    status, iters = _run_phase(
+    _, iters = _run_phase(
         D, z1, ncols, basis, is_artificial, maxiter, 0, check_unbounded=False
     )
     phase1_obj = -z1[-1]

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 import reference_simplex
 from corpus import make_capacity_starved, make_compute_starved, make_toy
 from optiloop import lp
+from optiloop.errors import SolverStall
 from optiloop.loop import _all_on, _assignment_modes
 from optiloop.simplex import _pivot_once, solve_dense
 
@@ -58,6 +59,7 @@ def test_degenerate_instance_terminates():
     res = solve_dense(c, A, b, ["le", "le", "le"])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05, abs=1e-9)
+    _assert_same_result(res, reference_simplex.solve_dense(c, A, b, ["le", "le", "le"]))
 
 
 def test_feasible_point_within_tolerance():
@@ -221,14 +223,37 @@ def test_matches_frozen_reference_bit_for_bit_on_random_lps():
     assert min(statuses.get(k, 0) for k in ("optimal", "infeasible", "unbounded")) >= 30
 
 
-def test_matches_frozen_reference_bit_for_bit_on_degenerate_cycling_lp():
-    c = np.array([-0.75, 150.0, -0.02, 6.0])
-    A = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
-    b = np.array([0.0, 0.0, 1.0])
-    senses = ["le", "le", "le"]
-    _assert_same_result(
-        solve_dense(c, A, b, senses), reference_simplex.solve_dense(c, A, b, senses)
-    )
+def _degenerate_lp(seed):
+    """Small-integer matrix with mostly zero right-hand sides."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(5, 40)), int(rng.integers(5, 60))
+    A = np.round(rng.normal(size=(m, n)) * 2) * (rng.random((m, n)) < 0.4)
+    b = np.zeros(m)
+    b[rng.random(m) < 0.2] = 1.0
+    c = np.round(rng.normal(size=n) * 3)
+    senses = ["le" if u < 0.5 else "eq" for u in rng.random(m)]
+    return c, A, b, senses
+
+
+@pytest.mark.parametrize("seed", [451, 3910])
+def test_matches_frozen_reference_bit_for_bit_under_blands_rule(seed):
+    # These stall for more than 10 * (m + 20) pivots, so pricing falls back
+    # to Bland's rule; no other input in this file gets that far.
+    c, A, b, senses = _degenerate_lp(seed)
+    want = reference_simplex.solve_dense(c, A, b, senses)
+    assert want.iterations > 10 * (A.shape[0] + 20)
+    _assert_same_result(solve_dense(c, A, b, senses), want)
+
+
+def test_runs_out_of_pivots_where_frozen_reference_does():
+    # Both kernels cycle here even under Bland's rule, and pivot alike until
+    # the iteration budget runs out.
+    c, A, b, senses = _degenerate_lp(1560)
+    with pytest.raises(SolverStall) as want:
+        reference_simplex.solve_dense(c, A, b, senses)
+    with pytest.raises(SolverStall) as got:
+        solve_dense(c, A, b, senses)
+    assert str(got.value) == str(want.value)
 
 
 def _toy_lps(seed):
