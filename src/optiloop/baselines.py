@@ -16,6 +16,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import lp
 from .errors import BudgetExceeded, InstanceInfeasible
 from .loop import _assignment_problem, _configuration, initial_solution, run_loop
@@ -259,21 +261,20 @@ def consolidation(s) -> StrategyResult:
                 if ratio > 0.0:
                     pending.append((rank[v3], vtgt, chosen, vtgt, v3, amount * ratio))
 
-    x = {lk: (1 if lk in active_links else 0) for lk in s.link_ids()}
-    y = {c: (1 if c in active_nodes else 0) for c in s.node_ids()}
-    delta = {
-        (c, v): (1 if v in deployed.get(c, set()) else 0)
-        for c in s.node_ids()
-        for v in s.vnf_ids()
-    }
     p = lp.build_problem(s)
-    sol = lp.solve(_assignment_problem(p, x, y, delta))
+    b = np.zeros(p.n_binaries(), dtype=np.int8)
+    b[p.layout["x"]] = [lk in active_links for lk in s.link_ids()]
+    b[p.layout["y"]] = [c in active_nodes for c in s.node_ids()]
+    b[p.layout["delta"]] = [
+        v in deployed.get(c, ()) for c in s.node_ids() for v in s.vnf_ids()
+    ]
+    sol = lp.solve(_assignment_problem(p, b))
     if sol.status != "optimal":
         raise InstanceInfeasible(
             "consolidation produced an infeasible activation set",
             context="consolidation:finalize",
         )
-    cfg = _configuration(s, x, y, delta, sol)
+    cfg = _configuration(p, b, sol)
     return StrategyResult(
         "consolidation", cfg, energy_of(s, cfg), {"lp_solves": 1, "stages": stage_counts}
     )
@@ -324,8 +325,7 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
              "pruned": 0, "lp_solves": 0}
 
     def finish(found, exact):
-        x, y, delta, sol = found
-        cfg = _configuration(s, x, y, delta, sol)
+        cfg = _configuration(p, *found)
         return StrategyResult(
             "exact",
             cfg,
@@ -339,11 +339,10 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
         )
 
     def links_for(active):
-        xs = {}
-        for (i, j) in s.link_ids():
-            ok = (i not in pg.nodes or i in active) and (j not in pg.nodes or j in active)
-            xs[(i, j)] = 1 if ok else 0
-        return xs
+        return [
+            (i not in pg.nodes or i in active) and (j not in pg.nodes or j in active)
+            for (i, j) in s.link_ids()
+        ]
 
     subsets = []
     for bits in range(1 << len(nodes)):
@@ -390,19 +389,18 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
                     assignments=state["assignments"],
                 )
             state["assignments"] += 1
-            x = links_for(active)
-            y = {c: (1 if c in active else 0) for c in nodes}
+            b = np.zeros(p.n_binaries(), dtype=np.int8)
+            b[p.layout["x"]] = links_for(active)
+            b[p.layout["y"]] = [c in active for c in nodes]
             chosen_set = set(chosen)
-            delta = {
-                (c, v): (1 if (c, v) in chosen_set else 0) for c in nodes for v in vnfs
-            }
-            sol = lp.solve(_assignment_problem(p, x, y, delta))
+            b[p.layout["delta"]] = [(c, v) in chosen_set for c in nodes for v in vnfs]
+            sol = lp.solve(_assignment_problem(p, b))
             state["lp_solves"] += 1
             if sol.status != "optimal":
                 continue
             if sol.objective_value < state["best_obj"] - 1e-9:
                 state["best_obj"] = sol.objective_value
-                state["best"] = (x, y, delta, sol)
+                state["best"] = (b, sol)
 
     if state["best"] is None:
         raise InstanceInfeasible("no activation set is feasible", context="exact_optimum")

@@ -3,12 +3,13 @@
     optiloop run --scenario net.json --factors 0.5,1,2 \
         --strategies all_active,optiloop --seeds 0,1 --out results.csv
 
-Exit codes: 0 success, 2 scenario parse error, 3 infeasible instance,
-4 enumeration budget exceeded, 5 any other optiloop error (e.g. an instance
-too large for the built-in solver, a solver stall, a diverged repair, a
-failed generation or a broken loop invariant).  Every error exit prints one
-``error:`` line to stderr and no traceback.  Set OPTILOOP_LOG=DEBUG|INFO|WARNING
-to control log verbosity (telemetry lines are logged at INFO).
+Exit codes: 0 success, 2 scenario parse error or malformed argument (before
+any strategy runs), 3 infeasible instance, 4 enumeration budget exceeded,
+5 any other optiloop error (e.g. an instance too large for the built-in
+solver, a solver stall, a diverged repair, a failed generation or a broken
+loop invariant).  Every error exit prints one ``error:`` line to stderr and
+no traceback.  Set OPTILOOP_LOG=DEBUG|INFO|WARNING to control log verbosity
+(telemetry lines are logged at INFO).
 """
 
 import argparse
@@ -22,7 +23,7 @@ from .errors import (
     OptiloopError,
     ScenarioFormatError,
 )
-from .metrics import ExperimentConfig, run_experiment
+from .metrics import STRATEGIES, ExperimentConfig, run_experiment
 from .scenario import GeneratorParams
 
 EXIT_OK = 0
@@ -63,7 +64,7 @@ def build_parser():
     run.add_argument("--gen-node-capacity", type=float, default=None)
     run.add_argument("--gen-core-capacity", type=float, default=None)
     run.add_argument("--gen-endpoint-capacity", type=float, default=None)
-    run.add_argument("--gen-demand", type=str, default=None, help="lo,hi bit/s")
+    run.add_argument("--gen-demand", type=_floats, default=None, help="lo,hi bit/s")
     run.add_argument("--factors", type=_floats, default=(1.0,))
     run.add_argument(
         "--strategies",
@@ -95,8 +96,7 @@ def _generator_params(args):
     if args.gen_endpoint_capacity is not None:
         kwargs["endpoint_link_capacity"] = args.gen_endpoint_capacity
     if args.gen_demand is not None:
-        lo, hi = _floats(args.gen_demand)
-        kwargs["endpoint_demand_range"] = (lo, hi)
+        kwargs["endpoint_demand_range"] = args.gen_demand
     return GeneratorParams(**kwargs)
 
 
@@ -105,19 +105,29 @@ def main(argv=None):
         level=os.environ.get("OPTILOOP_LOG", "WARNING").upper(),
         format="%(message)s",
     )
-    args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        scenario_path=args.scenario,
-        generator=None if args.scenario else _generator_params(args),
-        strategies=args.strategies,
-        factors=args.factors,
-        seeds=args.seeds,
-        rounds=args.rounds,
-        oracle_budget=args.oracle_budget,
-        out=args.out,
-        include_timings=args.timings,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if min(args.seed, args.rounds, *args.seeds) < 0:
+        parser.error("--seed, --seeds and --rounds take nonnegative integers")
+    if args.gen_demand is not None and len(args.gen_demand) != 2:
+        parser.error("--gen-demand takes two numbers, lo,hi")
+    unknown = [name for name in args.strategies if name not in STRATEGIES]
+    if unknown:
+        parser.error(f"unknown strategy {unknown[0]!r} (known: {', '.join(STRATEGIES)})")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        parser.error(f"--out {args.out!r}: no such directory")
     try:
+        config = ExperimentConfig(
+            scenario_path=args.scenario,
+            generator=None if args.scenario else _generator_params(args),
+            strategies=args.strategies,
+            factors=args.factors,
+            seeds=args.seeds,
+            rounds=args.rounds,
+            oracle_budget=args.oracle_budget,
+            out=args.out,
+            include_timings=args.timings,
+        )
         rows = run_experiment(config)
     except ScenarioFormatError as exc:
         loc = f" (line {exc.line}, column {exc.column})" if exc.line else ""

@@ -1,7 +1,10 @@
 """LP-in-the-loop control strategy.
 
-Every LP the loop solves is the base problem with each binary either pinned
-at its current value or relaxed to [0, 1] (``_assignment_modes``).
+A phase holds the binaries as one 0/1 vector ``b`` over the problem's
+leading columns (``LpProblem.layout``: links, nodes, placements).  Every LP
+it solves is the base problem with each binary pinned at its value in ``b``
+or relaxed to [0, 1] (``_assignment_problem``); switching one follows the
+activation rows (``_switch``), and ``_configuration`` hands results out.
 
 The loop keeps a feasible operating point at all times.  It starts from the
 everything-on solution (if any feasible point exists, one exists with every
@@ -20,8 +23,7 @@ Each round then runs two procedures:
   active ones, solve, then probe the single active element (link, node or
   placement) with the smallest relaxed value by pinning it to 0 and
   re-solving.  A feasible probe is adopted and the hunt restarts; the
-  first rejected probe ends the phase.  Deactivating a node cascades to
-  its incident links and hosted instances.
+  first rejected probe ends the phase.
 
 Every LP goes through ``_solve``, which remembers what this run has solved:
 a run never solves the same LP twice.  An adopted probe's LP is the next
@@ -29,12 +31,12 @@ guidance LP, a repeated shutdown phase repeats its predecessor's solves, and
 a repair round opens on the pinned LP the previous phase closed on; all of
 these are memo hits.
 
-Ties in the probe argmin are broken link > node > placement, then
-lexicographically.  All randomness comes from one seeded generator, so runs
-are bit-reproducible.  Each phase emits one JSON telemetry line through the
-``optiloop.loop`` logger; its ``lp_solves`` counts the solves performed, so
-a phase whose LPs were all solved before reports 0.  A broken loop
-invariant raises ``InvariantBroken``.
+Ties in the probe argmin are broken link > node > placement, then by
+column, which is lexicographic.  All randomness comes from one seeded
+generator, so runs are bit-reproducible.  Each phase emits one JSON
+telemetry line through the ``optiloop.loop`` logger; its ``lp_solves``
+counts the solves performed, so a phase whose LPs were all solved before
+reports 0.  A broken loop invariant raises ``InvariantBroken``.
 """
 
 import json
@@ -110,11 +112,9 @@ def _guidance(p, placements="pin"):
     """
     eps = 1e-6 * (1.0 + float(np.max(np.abs(p.objective), initial=0.0)))
     objective = p.objective.copy()
-    for ref, pos in p.var_index.items():
-        if ref.kind in ("x", "y"):
-            objective[pos] += eps
-        elif ref.kind == "delta":
-            objective[pos] += eps if placements == "pin" else -eps / 100.0
+    objective[p.layout["x"]] += eps
+    objective[p.layout["y"]] += eps
+    objective[p.layout["delta"]] += eps if placements == "pin" else -eps / 100.0
     return replace(p, objective=objective)
 
 
@@ -140,49 +140,73 @@ def weighted_choice(rng, items, weights):
 # ---------------------------------------------------------------------------
 # Binary assignment helpers
 
+_ELEMENT = {"x": "link", "y": "node", "delta": "placement"}
+
+
+def _key(ref):
+    """Configuration key of a binary column: a node's id, else the index."""
+    return ref.index[0] if ref.kind == "y" else ref.index
+
+
+def _binaries(p, x, y, delta):
+    """0/1 vector over the binary columns of ``p`` holding the values of the
+    dicts ``x``, ``y``, ``delta``; keys absent from a dict read 0."""
+    held = {"x": x, "y": y, "delta": delta}
+    values = [held[ref.kind].get(_key(ref), 0) for ref in p.binary_refs()]
+    return np.array(values, dtype=np.int8)
+
+
+def _assignment_problem(p, b, relax=None):
+    """``p`` with every binary pinned at its value in ``b``, except those
+    ``relax`` names: it maps a binary kind to a value, and binaries of that
+    kind holding that value are relaxed to [0, 1] with a fixed value of 0."""
+    free = np.zeros(b.size, dtype=bool)
+    for kind, value in (relax or {}).items():
+        cols = p.layout[kind]
+        free[cols] = b[cols] == value
+    modes = p.modes.copy()
+    fixed_values = p.fixed_values.copy()
+    modes[: b.size] = np.where(free, lp.MODE_RELAXED, lp.MODE_FIXED)
+    fixed_values[: b.size] = np.where(free, 0, b)
+    return replace(p, modes=modes, fixed_values=fixed_values)
+
 
 def _assignment_modes(p, x, y, delta, relax=None):
-    """Modes for the binaries of ``p`` at the values ``x``, ``y``, ``delta``.
-
-    ``relax`` maps a binary kind to a value: binaries of that kind holding
-    that value are relaxed to [0, 1].  Every other binary is pinned at its
-    value; keys absent from a dict read 0.
-    """
-    values = {"x": x, "y": y, "delta": delta}
-    relax = relax or {}
-    modes = {}
-    for ref in p.variables:
-        held = values.get(ref.kind)
-        if held is None:
-            continue
-        value = held.get(ref.index[0] if ref.kind == "y" else ref.index, 0)
-        modes[ref] = lp.RELAXED if relax.get(ref.kind) == value else lp.fixed(value)
-    return modes
+    """The binary modes of ``_assignment_problem`` at the values ``x``,
+    ``y``, ``delta``, as a map from each binary ``VarRef`` to its mode."""
+    q = _assignment_problem(p, _binaries(p, x, y, delta), relax)
+    return {ref: q.mode_of(ref) for ref in p.binary_refs()}
 
 
-def _assignment_problem(p, x, y, delta, relax=None):
-    """``p`` with its binaries set by ``_assignment_modes``."""
-    return lp._with_modes(p, _assignment_modes(p, x, y, delta, relax))
+def _gates(p):
+    """(gated, gate) column arrays of the activation rows of families 3 and
+    5, which list the gated binary first: a link is gated by its node ends,
+    a placement by its node."""
+    rows = [con.terms for con in p.constraints if con.cid[0] in (3, 5)]
+    return np.array([(t[0][0], t[1][0]) for t in rows], dtype=np.intp).reshape(-1, 2).T
 
 
-def _configuration(s, x, y, delta, solution):
-    """Bundle pinned binaries with the flows of an LP solution."""
-    scale = max(1.0, lp._flow_scale(s))
-    thresh = 1e-12 * scale
-    tau, transit, processed = {}, {}, {}
+def _switch(b, col, value, gates):
+    """Set binary ``col`` of ``b`` to ``value`` in place, keeping the
+    activation rows: switching on turns on the gates ``col`` needs,
+    switching off turns off every binary ``col`` gates."""
+    gated, gate = gates
+    b[col] = value
+    b[gate[gated == col] if value else gated[gate == col]] = value
+
+
+def _configuration(p, b, solution):
+    """The operating point of the binaries ``b`` of ``p`` with the flows of
+    ``solution``; flows at or below 1e-12 traffic scales read 0."""
+    thresh = 1e-12 * max(1.0, p.traffic_scale)
+    binaries = {kind: {} for kind in lp.BINARY_KINDS}
+    for ref, value in zip(p.variables, b.tolist()):
+        binaries[ref.kind][_key(ref)] = value
+    flows = {kind: {} for kind in lp.FLOW_KINDS}
     for ref, val in solution.values.items():
-        if ref.kind not in lp.FLOW_KINDS:
-            continue
-        val = max(val, 0.0)
-        if val <= thresh:
-            continue
-        if ref.kind == "tau":
-            tau[ref.index] = val
-        elif ref.kind == "transit":
-            transit[ref.index] = val
-        else:
-            processed[ref.index] = val
-    return NetworkConfiguration(dict(x), dict(y), dict(delta), tau, transit, processed)
+        if ref.kind in flows and val > thresh:
+            flows[ref.kind][ref.index] = val
+    return NetworkConfiguration(binaries["x"], binaries["y"], binaries["delta"], **flows)
 
 
 def _all_on(s):
@@ -192,26 +216,25 @@ def _all_on(s):
     return x, y, delta
 
 
-def _all_on_configuration(s, p, solve):
+def _all_on_configuration(p, solve):
     """The all-on assignment of ``p`` routed by ``solve``; InstanceInfeasible
     when it admits no flow routing."""
-    x, y, delta = _all_on(s)
-    sol = solve(_assignment_problem(p, x, y, delta))
+    b = np.ones(p.n_binaries(), dtype=np.int8)
+    sol = solve(_assignment_problem(p, b))
     if sol.status != "optimal":
         raise InstanceInfeasible(
             "no feasible routing exists with every element active", context="all_active"
         )
-    return _configuration(s, x, y, delta, sol)
+    return _configuration(p, b, sol)
 
 
-def initial_solution(s, problem=None):
+def initial_solution(s):
     """Feasible starting point with everything switched on.
 
     Raises InstanceInfeasible when even the all-on assignment admits no
     flow routing, which condemns the instance as a whole.
     """
-    p = problem if problem is not None else lp.build_problem(s)
-    return _all_on_configuration(s, p, lp.solve)
+    return _all_on_configuration(lp.build_problem(s), lp.solve)
 
 
 def _solve(state, phase, p):
@@ -234,7 +257,7 @@ def start_loop(s, seed):
         base_problem=lp.build_problem(s),
     )
     state.current = _all_on_configuration(
-        s, state.base_problem, lambda p: _solve(state, "initial", p)
+        state.base_problem, lambda p: _solve(state, "initial", p)
     )
     _emit(state, "initial", energy_before=None, activated=[], deactivated=[])
     return state
@@ -258,16 +281,9 @@ def _emit(state, phase, energy_before, activated, deactivated, solves=None):
 # ---------------------------------------------------------------------------
 # fix_problems
 
-
-def _repair_weights(state, x, y, delta, relax, kind, candidates):
-    """Relaxed values of the ``kind`` binaries ``candidates`` in the repair
-    guidance LP, which relaxes the binaries ``relax`` names; all 0 when that
-    LP is infeasible."""
-    p = _assignment_problem(state.base_problem, x, y, delta, relax)
-    guide = _solve(state, "fix_problems", _guidance(p))
-    if not guide.is_feasible:
-        return [0.0] * len(candidates)
-    return [guide.values.get(lp.VarRef(kind, key), 0.0) for key in candidates]
+# Repair actions in the order they run: the IIS family that calls for one,
+# the binary kind it switches on, and what its guidance LP relaxes.
+_REPAIRS = ((4, "x", {"x": 0, "y": 0}), (7, "delta", {"delta": 0, "y": 0}))
 
 
 def fix_problems(state):
@@ -275,16 +291,15 @@ def fix_problems(state):
     s = state.scenario
     p0 = state.base_problem
     cfg = state.current
-    x = dict(cfg.x)
-    y = dict(cfg.y)
-    delta = dict(cfg.delta)
+    b = _binaries(p0, cfg.x, cfg.y, cfg.delta)
+    gates = _gates(p0)
     energy_before = energy_of(s, cfg).total
     cap = len(s.link_ids()) + len(s.node_ids()) * len(s.vnf_ids())
     activated = []
     solves_at_entry = state.lp_solves.get("fix_problems", 0)
 
     while True:
-        fixed_p = _assignment_problem(p0, x, y, delta)
+        fixed_p = _assignment_problem(p0, b)
         sol = _solve(state, "fix_problems", fixed_p)
         if sol.status == "optimal":
             break
@@ -292,39 +307,25 @@ def fix_problems(state):
         state.count_solves("fix_problems", report.solves)
         before = len(activated)
 
-        candidates = [lk for lk in s.link_ids() if x.get(lk, 0) == 0]
-        if 4 in report.families and candidates:
-            weights = _repair_weights(
-                state, x, y, delta, {"x": 0, "y": 0}, "x", candidates
-            )
-            pick = weighted_choice(state.rng, candidates, weights)
-            x[pick] = 1
-            for end in pick:
-                if end in s.physical.nodes:
-                    y[end] = 1
-            activated.append(("link", pick))
-            state.activations += 1
-
-        candidates = [
-            (c, v) for c in s.node_ids() for v in s.vnf_ids() if delta.get((c, v), 0) == 0
-        ]
-        if 7 in report.families and candidates:
-            weights = _repair_weights(
-                state, x, y, delta, {"delta": 0, "y": 0}, "delta", candidates
-            )
-            if not any(w > 0.0 for w in weights):
+        for family, kind, relax in _REPAIRS:
+            cols = p0.layout[kind]
+            candidates = (cols.start + np.flatnonzero(b[cols] == 0)).tolist()
+            if family not in report.families or not candidates:
+                continue
+            col_of = {_key(p0.variables[col]): col for col in candidates}
+            keys = list(col_of)
+            # The candidates' relaxed values; an infeasible guide has none.
+            guide = _guidance(_assignment_problem(p0, b, relax))
+            values = _solve(state, "fix_problems", guide).values
+            weights = np.array([values.get(p0.variables[c], 0.0) for c in candidates])
+            if kind == "delta" and not (weights > 0.0).any():
                 # uniform fallback, restricted to nodes that can host
-                hostable = [
-                    pair for pair in candidates if s.physical.nodes[pair[0]].compute > 0
-                ]
+                hostable = [key for key in keys if s.physical.nodes[key[0]].compute > 0]
                 if hostable:
-                    candidates = hostable
-                    weights = [0.0] * len(candidates)
-            pick = weighted_choice(state.rng, candidates, weights)
-            c, v = pick
-            y[c] = 1
-            delta[pick] = 1
-            activated.append(("placement", pick))
+                    keys, weights = hostable, np.zeros(len(hostable))
+            pick = weighted_choice(state.rng, keys, weights)
+            _switch(b, col_of[pick], 1, gates)
+            activated.append((_ELEMENT[kind], pick))
             state.activations += 1
 
         if len(activated) == before:
@@ -338,7 +339,7 @@ def fix_problems(state):
         if len(activated) > cap:
             raise RepairDiverged(f"exceeded activation cap of {cap}")
 
-    state.current = _configuration(s, x, y, delta, sol)
+    state.current = _configuration(p0, b, sol)
     _emit(
         state,
         "fix_problems",
@@ -354,40 +355,31 @@ def fix_problems(state):
 # save_energy
 
 
-def _argmin(values):
-    """(value, key) minimum with lexicographic key tie-break; None if empty."""
-    best = None
-    for key in sorted(values):
-        v = values[key]
-        if best is None or v < best[0] - 1e-15:
-            best = (v, key)
-    return best
+def _probe_column(p, active, guide):
+    """The column among ``active`` with the smallest value in ``guide``.
+
+    Each binary kind is scanned in column order, a later value replacing
+    the kind's best only when more than 1e-15 below it.  The kinds' bests
+    then compare strictly, ties going to the lower column: link > node >
+    placement.
+    """
+    bests = []
+    for kind in lp.BINARY_KINDS:
+        cols = p.layout[kind]
+        top = None
+        for col in active[(active >= cols.start) & (active < cols.stop)].tolist():
+            v = guide.values[p.variables[col]]
+            if top is None or v < top[0] - 1e-15:
+                top = (v, col)
+        bests += [top] if top else []
+    return min(bests)[1]
 
 
-def _shutdown_problem(p, x, y, delta):
+def _shutdown_problem(p, b):
     """Active binaries relaxed, inactive ones pinned at 0, placements steered
     to the ceiling."""
-    relaxed = _assignment_problem(p, x, y, delta, relax={"x": 1, "y": 1, "delta": 1})
+    relaxed = _assignment_problem(p, b, relax={"x": 1, "y": 1, "delta": 1})
     return _guidance(relaxed, placements="ceil")
-
-
-def _switch_off(x, y, delta, kind, target):
-    """Copies of the binaries with ``target`` off; a node takes its incident
-    links and hosted instances with it."""
-    x, y, delta = dict(x), dict(y), dict(delta)
-    if kind == "link":
-        x[target] = 0
-    elif kind == "node":
-        y[target] = 0
-        for lk in x:
-            if target in lk:
-                x[lk] = 0
-        for pair in delta:
-            if pair[0] == target:
-                delta[pair] = 0
-    else:
-        delta[target] = 0
-    return x, y, delta
 
 
 def save_energy(state):
@@ -395,46 +387,36 @@ def save_energy(state):
     s = state.scenario
     p0 = state.base_problem
     cfg = state.current
-    x = dict(cfg.x)
-    y = dict(cfg.y)
-    delta = dict(cfg.delta)
+    b = _binaries(p0, cfg.x, cfg.y, cfg.delta)
+    gates = _gates(p0)
     energy_before = energy_of(s, cfg).total
     deactivated = []
     solves_at_entry = state.lp_solves.get("save_energy", 0)
-    guard = sum(x.values()) + sum(y.values()) + sum(delta.values()) + 2
+    guard = int(b.sum()) + 2
 
     for _ in range(guard):
-        # Probe kinds in tie-break rank order: link > node > placement.
-        active = (
-            ("link", "x", [(lk, lk) for lk in s.link_ids() if x.get(lk, 0) == 1]),
-            ("node", "y", [(c, (c,)) for c in s.node_ids() if y.get(c, 0) == 1]),
-            ("placement", "delta", [(d, d) for d in sorted(delta) if delta[d] == 1]),
-        )
-        if not any(keys for _, _, keys in active):
+        active = np.flatnonzero(b)
+        if not active.size:
             break
 
-        guide = _solve(state, "save_energy", _shutdown_problem(p0, x, y, delta))
+        guide = _solve(state, "save_energy", _shutdown_problem(p0, b))
         if not guide.is_feasible:
             raise InvariantBroken(
                 f"shutdown guidance LP is {guide.status} at a feasible operating point"
             )
 
-        best = None
-        for kind, var, keys in active:
-            found = _argmin({key: guide.values[lp.VarRef(var, idx)] for key, idx in keys})
-            if found and (best is None or found[0] < best[0]):
-                best = (found[0], kind, found[1])
-        _, kind, target = best
-
-        after = _switch_off(x, y, delta, kind, target)
-        probe = _solve(state, "save_energy", _shutdown_problem(p0, *after))
+        col = _probe_column(p0, active, guide)
+        after = b.copy()
+        _switch(after, col, 0, gates)
+        probe = _solve(state, "save_energy", _shutdown_problem(p0, after))
         if not probe.is_feasible:
             break
 
-        state.current = _configuration(s, *after, probe)
+        kind, target = _ELEMENT[p0.variables[col].kind], _key(p0.variables[col])
+        state.current = _configuration(p0, after, probe)
         # Holding flows at the probe's solution, removing an element can only
         # drop nonnegative terms from the energy sum.
-        held = _configuration(s, x, y, delta, probe)
+        held = _configuration(p0, b, probe)
         e_after, limit = energy_of(s, state.current).total, energy_of(s, held).total
         if e_after > limit + 1e-9:
             raise InvariantBroken(
@@ -443,14 +425,14 @@ def save_energy(state):
             )
         deactivated.append((kind, target))
         state.deactivations += 1
-        x, y, delta = after
+        b = after
 
     if deactivated:
         # The probe's flows optimize a partially relaxed problem; the enacted
         # operating point routes optimally for the binaries actually kept.
-        final = _solve(state, "save_energy", _assignment_problem(p0, x, y, delta))
+        final = _solve(state, "save_energy", _assignment_problem(p0, b))
         if final.is_feasible:
-            state.current = _configuration(s, x, y, delta, final)
+            state.current = _configuration(p0, b, final)
 
     _emit(
         state,

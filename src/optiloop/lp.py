@@ -6,6 +6,12 @@ either pinned to a value or relaxed to [0, 1], so each solve is a plain LP.
 ``LpProblem`` is a value: ``fix``/``relax`` return modified copies that
 share the (immutable) constraint matrix.
 
+The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
+records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
+the sorted nodes, then ``delta`` over (node, function) pairs, node-major.
+Code that holds one value per binary can therefore keep a vector over
+columns ``0..n_binaries()-1`` and set modes with slice assignments.
+
 The row space follows the flow variables, which exist only for live
 commodities (a demanded first hop or a positive derived flow).  The
 per-commodity families 1, 2 and 6 have one row per node and live
@@ -106,10 +112,15 @@ class LpProblem:
     constraints: tuple
     objective: np.ndarray
     traffic_scale: float
+    layout: dict = field(default_factory=dict)  # binary kind -> column slice
     _cache: _DenseCache = field(default_factory=_DenseCache, repr=False)
 
     def n_vars(self):
         return len(self.variables)
+
+    def n_binaries(self):
+        """Number of binary columns; they lead the column space."""
+        return max((cols.stop for cols in self.layout.values()), default=0)
 
     def mode_of(self, ref):
         pos = self._pos(ref)
@@ -124,9 +135,8 @@ class LpProblem:
         except KeyError:
             raise InvalidMode(f"variable {ref} is not declared in this problem")
 
-    def binary_refs(self, kind=None):
-        kinds = (kind,) if kind else BINARY_KINDS
-        return [v for v in self.variables if v.kind in kinds]
+    def binary_refs(self):
+        return list(self.variables[: self.n_binaries()])
 
 
 @dataclass(eq=False)
@@ -147,15 +157,6 @@ class LpSolution:
 # Problem construction
 
 
-def _flow_scale(s):
-    lg = s.logical
-    peak = max(lg.ingress_demand.values(), default=0.0)
-    derived = mdl.derive_logical_flows(lg)
-    if derived:
-        peak = max(peak, max(derived.values()))
-    return peak if peak > 0 else 1.0
-
-
 def build_problem(s):
     """Emit the constraint system for a scenario, every binary relaxed.
 
@@ -166,6 +167,9 @@ def build_problem(s):
     families 1, 2 and 6 exist once per node and live commodity, so every
     row carries a flow term except the activation rows of families 3 and 5,
     which are also the only rows that pinning the binaries can empty.
+    Each activation row has two terms, the gated binary (a link's ``x`` in
+    family 3, a placement's ``delta`` in family 5) first and the node's
+    ``y`` gating it second; callers read the on/off cascades from them.
     ``fix``, ``relax`` and ``_with_modes`` set the binaries' modes.
     """
     lg, pg = s.logical, s.physical
@@ -187,16 +191,18 @@ def build_problem(s):
     for (e, v1, v2) in derived:
         live[e].add((v1, v2))
     live_pairs = {e: sorted(live[e]) for e in eps}
-    t0 = _flow_scale(s)
+    t0 = max([*lg.ingress_demand.values(), *derived.values()], default=0.0)
+    t0 = t0 if t0 > 0 else 1.0  # the largest logical flow
 
-    variables = []
-    for lk in links:
-        variables.append(VarRef("x", lk))
-    for c in nodes:
-        variables.append(VarRef("y", (c,)))
-    for c in nodes:
-        for v in vnfs:
-            variables.append(VarRef("delta", (c, v)))
+    variables, layout = [], {}
+    for kind, refs in (
+        ("x", [VarRef("x", lk) for lk in links]),
+        ("y", [VarRef("y", (c,)) for c in nodes]),
+        ("delta", [VarRef("delta", (c, v)) for c in nodes for v in vnfs]),
+    ):
+        layout[kind] = slice(len(variables), len(variables) + len(refs))
+        variables += refs
+    nb = len(variables)
     ep_set = lg.endpoints
     for (i, j) in links:
         if j in ep_set:
@@ -380,12 +386,11 @@ def build_problem(s):
     # Objective: the affine energy model, in watts.
     em = s.energy
     objective = np.zeros(nv)
-    for ref, pos in var_index.items():
-        if ref.kind == "y":
-            objective[pos] = em.idle_power
-        elif ref.kind == "delta":
-            objective[pos] = em.placement_power
-        elif ref.kind == "processed":
+    objective[layout["y"]] = em.idle_power
+    objective[layout["delta"]] = em.placement_power
+    for pos in range(nb, nv):
+        ref = variables[pos]
+        if ref.kind == "processed":
             v2 = ref.index[3]
             objective[pos] = em.proc_power_per_unit * lg.compute_per_bit[v2] * t0
         elif ref.kind == "tau":
@@ -396,19 +401,17 @@ def build_problem(s):
             objective[pos] = per_bit * t0
 
     mode_arr = np.zeros(nv, dtype=np.int8)
-    fixed_arr = np.zeros(nv)
-    for ref, pos in var_index.items():
-        if ref.is_binary():
-            mode_arr[pos] = MODE_RELAXED
+    mode_arr[:nb] = MODE_RELAXED
 
     return LpProblem(
         variables=tuple(variables),
         var_index=var_index,
         modes=mode_arr,
-        fixed_values=fixed_arr,
+        fixed_values=np.zeros(nv),
         constraints=tuple(cons),
         objective=objective,
         traffic_scale=t0,
+        layout=layout,
     )
 
 
@@ -543,12 +546,8 @@ def solve(p, feasibility_only=False):
 
     full = p.fixed_values.copy()
     full[free] = res.x
-    values = {}
-    for ref, pos in p.var_index.items():
-        val = full[pos]
-        if ref.kind in FLOW_KINDS:
-            val *= p.traffic_scale
-        values[ref] = float(val)
+    full[p.n_binaries() :] *= p.traffic_scale  # the flows
+    values = dict(zip(p.variables, full.tolist()))
     resid = 0.0
     if A.shape[0]:
         gap = A @ res.x - rhs

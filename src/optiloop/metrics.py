@@ -156,19 +156,14 @@ class ExperimentConfig:
     include_timings: bool = False
 
 
-def _run_strategy(name, s, seed, config):
-    if name == "all_active":
-        return baselines.all_active(s)
-    if name == "consolidation":
-        return baselines.consolidation(s)
-    if name == "optiloop":
-        return baselines.optiloop_strategy(s, seed=seed, rounds=config.rounds)
-    if name == "exact":
-        return baselines.exact_optimum(s, budget=config.oracle_budget)
-    raise ValueError(f"unknown strategy {name!r}")
-
-
-_SEEDLESS = {"all_active", "consolidation", "exact"}
+# Strategy name -> (whether its result depends on the seed, runner taking
+# the scenario, the seed and the ExperimentConfig).
+STRATEGIES = {
+    "all_active": (False, lambda s, seed, c: baselines.all_active(s)),
+    "consolidation": (False, lambda s, seed, c: baselines.consolidation(s)),
+    "optiloop": (True, lambda s, seed, c: baselines.optiloop_strategy(s, seed, c.rounds)),
+    "exact": (False, lambda s, seed, c: baselines.exact_optimum(s, c.oracle_budget)),
+}
 
 
 def run_experiment(config: ExperimentConfig):
@@ -178,6 +173,8 @@ def run_experiment(config: ExperimentConfig):
     order, independent of execution details.  When ``config.out`` is set the
     rows are also written as CSV.
     """
+    if not set(config.strategies) <= STRATEGIES.keys():
+        raise ValueError(f"unknown strategy in {config.strategies!r}")
     if config.scenario_path:
         base = load_scenario(config.scenario_path)
     else:
@@ -196,12 +193,13 @@ def run_experiment(config: ExperimentConfig):
     for name in config.strategies:
         for f in config.factors:
             for seed in config.seeds:
-                key = (name, f) if name in _SEEDLESS else (name, f, seed)
+                seeded, runner = STRATEGIES[name]
+                key = (name, f, seed) if seeded else (name, f)
                 if key in cache:
                     result, elapsed = cache[key]
                 else:
                     t0 = time.perf_counter()
-                    result = _run_strategy(name, scaled[f], seed, config)
+                    result = runner(scaled[f], seed, config)
                     elapsed = time.perf_counter() - t0
                     cache[key] = (result, elapsed)
                 row = compute_metrics(

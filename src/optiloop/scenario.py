@@ -131,8 +131,8 @@ class GeneratorParams:
         if not (1 <= self.attachments_per_endpoint <= self.n_nodes):
             raise ShapeMismatch("attachments_per_endpoint out of range")
         lo, hi = self.endpoint_demand_range
-        if lo <= 0 or hi < lo:
-            raise ShapeMismatch("endpoint_demand_range must be positive and ordered")
+        if not 0 < lo <= hi < np.inf:  # also rejects NaN
+            raise ShapeMismatch("endpoint_demand_range must be positive, finite, ordered")
         if not (0.0 <= self.downlink_fraction <= 1.0):
             raise ShapeMismatch("downlink_fraction must lie in [0, 1]")
         for name in (

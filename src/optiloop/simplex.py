@@ -6,8 +6,10 @@ on a full tableau.  Rows are equilibrated (divided by their largest
 coefficient) before solving; infeasibility is declared when the phase-one
 optimum exceeds ``FEAS_TOL``.  Pivoting uses Dantzig's rule with a
 deterministic lowest-index tie-break and falls back to Bland's rule
-permanently once the objective stalls, which guarantees termination on
-degenerate instances.  Identical inputs always produce identical outputs.
+permanently once the objective stalls.  Bland's rule cannot cycle (Bland,
+"New finite pivoting rules for the simplex method", Math. Oper. Res. 1977),
+so degenerate instances terminate.  Identical inputs always produce
+identical outputs.
 
 Tableau layout.  ``D`` has ``m + 2`` rows and ``ncols + 1`` columns.  Rows
 ``0..m-1`` are the constraints, row ``m`` is the phase-one objective (the
@@ -31,12 +33,13 @@ status, point, objective, dual and iteration count, is the one a
 row-by-row implementation of these rules produces; only the sign of a zero
 can differ.
 
-Ratio ties.  Among the rows within the band, the leaving row is the one
-whose basic variable is artificial, and then the one with the lowest basic
-column index.  Basic columns are distinct and every artificial column index
-is below ``ncols``, so the key ``b`` for an artificial basic column ``b``
-and ``b + ncols`` for any other orders the candidates exactly that way
-without a tie, and one ``argmin`` over it picks the same row.
+Ratio ties.  Until the fallback, among the rows within the band, the
+leaving row is the one whose basic variable is artificial, and then the one
+with the lowest basic column index.  Basic columns are distinct and every
+artificial column index is below ``ncols``, so the key ``b`` for an
+artificial basic column ``b`` and ``b + ncols`` for any other orders the
+candidates exactly that way without a tie, and one ``argmin`` over it picks
+the same row.  Under Bland's rule the lowest basic column index leaves.
 
 The scale of the problems this package builds is a few hundred rows, so a
 dense tableau beats anything cleverer.
@@ -114,9 +117,10 @@ def _run_phase(D, z, n_enter, basis, is_artificial, maxiter, iters, check_unboun
         np.divide(rhs, colvals, out=ratios, where=elig)
         best_ratio = ratios.min()
         near = (ratios <= best_ratio + PIVOT_TOL * (1.0 + abs(best_ratio))).nonzero()[0]
-        # Prefer kicking artificials out of the basis, then lowest basic index.
+        # Bland: lowest basic index; else artificials first, then lowest index.
         b = basis[near]
-        row = int(near[np.where(is_artificial[b], b, b + ncols).argmin()])
+        key = b if bland else np.where(is_artificial[b], b, b + ncols)
+        row = int(near[key.argmin()])
         _pivot_once(D, basis, col, row)
         iters += 1
         obj = -z[-1]

@@ -16,6 +16,8 @@ from optiloop.iis import IisReport
 from optiloop.loop import (
     LoopState,
     _assignment_modes,
+    _assignment_problem,
+    _binaries,
     _configuration,
     _guidance,
     fix_problems,
@@ -36,7 +38,7 @@ from optiloop.model import (
     energy_of,
     validate_configuration,
 )
-from optiloop.scenario import scale_demand, vepc_two_node
+from optiloop.scenario import GeneratorParams, generate, scale_demand, vepc_two_node
 
 GIG = 1e9
 
@@ -146,7 +148,7 @@ def test_capacity_repair_activates_second_path():
     p = lp.build_problem(s)
     sol = lp.solve(lp._with_modes(p, _assignment_modes(p, x, y, delta)))
     assert sol.status == "optimal"
-    cfg = _configuration(s, x, y, delta, sol)
+    cfg = _configuration(p, _binaries(p, x, y, delta), sol)
 
     doubled = scale_demand(s, 2.0)
     state = _state_for(doubled, cfg, seed=5)
@@ -166,7 +168,7 @@ def test_compute_repair_deploys_on_idle_node():
     p = lp.build_problem(s)
     sol = lp.solve(lp._with_modes(p, _assignment_modes(p, x, y, delta)))
     assert sol.status == "optimal"
-    cfg = _configuration(s, x, y, delta, sol)
+    cfg = _configuration(p, _binaries(p, x, y, delta), sol)
 
     doubled = scale_demand(s, 2.0)
     state = _state_for(doubled, cfg, seed=1)
@@ -305,7 +307,7 @@ def test_exactly_sized_configuration_survives():
     delta = {("m1", "A"): 0, ("m2", "A"): 1}
     p = lp.build_problem(s)
     sol = lp.solve(lp._with_modes(p, _assignment_modes(p, x, y, delta)))
-    cfg = _configuration(s, x, y, delta, sol)
+    cfg = _configuration(p, _binaries(p, x, y, delta), sol)
     state = _state_for(s, cfg, seed=0)
     save_energy(state)
     assert state.current.x == cfg.x
@@ -346,9 +348,10 @@ def test_accepted_probe_is_next_guidance_problem(monkeypatch):
         solved[id(sol)] = (p, sol)
         return sol
 
-    def spy_configuration(s, x, y, delta, solution):
-        adopted.append((dict(x), dict(y), dict(delta), id(solution)))
-        return real_configuration(s, x, y, delta, solution)
+    def spy_configuration(p, b, solution):
+        cfg = real_configuration(p, b, solution)
+        adopted.append((cfg.x, cfg.y, cfg.delta, id(solution)))
+        return cfg
 
     monkeypatch.setattr(lp, "solve", spy_solve)
     monkeypatch.setattr(loop, "_configuration", spy_configuration)
@@ -548,3 +551,68 @@ def test_weighted_choice_uniform_fallback():
         counts[weighted_choice(rng, items, [0.0, 0.0, 0.0])] += 1
     for item in items:
         assert abs(counts[item] - 1000) < 3 * (3000 * (1 / 3) * (2 / 3)) ** 0.5
+
+
+# ---------------------------------------------------------------------------
+# The binary vector
+
+
+def _switched_by_rule(s, x, y, delta, kind, key, value):
+    """Copies of the binaries with ``key`` of ``kind`` at ``value``: a node
+    off takes its incident links and its instances off, a link on turns its
+    node ends on, a placement on turns its node on."""
+    x, y, delta = dict(x), dict(y), dict(delta)
+    {"x": x, "y": y, "delta": delta}[kind][key] = value
+    if kind == "y" and not value:
+        x.update({lk: 0 for lk in x if key in lk})
+        delta.update({pair: 0 for pair in delta if pair[0] == key})
+    elif kind == "x" and value:
+        y.update({end: 1 for end in key if end in s.physical.nodes})
+    elif kind == "delta" and value:
+        y[key[0]] = 1
+    return x, y, delta
+
+
+def test_binary_vector_matches_mode_rule_and_cascades():
+    cases = [make_toy(seed) for seed in range(12)] + [
+        generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=seed))
+        for seed in (1, 2, 3)
+    ]
+    relax_maps = (None, {"x": 0, "y": 0}, {"delta": 0, "y": 0}, {"x": 1, "y": 1, "delta": 1})
+    rng = np.random.default_rng(7)
+    cascaded = 0
+    for s in cases:
+        p = lp.build_problem(s)
+        gates = loop._gates(p)
+        for _ in range(3):
+            x = {lk: int(rng.integers(2)) for lk in s.link_ids()}
+            y = {c: int(rng.integers(2)) for c in s.node_ids()}
+            delta = {(c, v): int(rng.integers(2)) for c in s.node_ids() for v in s.vnf_ids()}
+            b = _binaries(p, x, y, delta)
+            held = {"x": x, "y": y, "delta": delta}
+            for relax in relax_maps:
+                rule = {}
+                for kind, values in held.items():
+                    for key, value in values.items():
+                        ref = lp.VarRef(kind, (key,) if kind == "y" else key)
+                        off = (relax or {}).get(kind) == value
+                        rule[ref] = lp.RELAXED if off else lp.fixed(value)
+                want = lp._with_modes(p, rule)
+                for got in (
+                    _assignment_problem(p, b, relax),
+                    lp._with_modes(p, _assignment_modes(p, x, y, delta, relax)),
+                ):
+                    assert np.array_equal(got.modes, want.modes)
+                    assert np.array_equal(got.fixed_values, want.fixed_values)
+            for kind, values in held.items():
+                for key in values:
+                    col = p.var_index[lp.VarRef(kind, (key,) if kind == "y" else key)]
+                    for value in (0, 1):
+                        got = b.copy()
+                        loop._switch(got, col, value, gates)
+                        want = _binaries(
+                            p, *_switched_by_rule(s, x, y, delta, kind, key, value)
+                        )
+                        assert np.array_equal(got, want), (kind, key, value)
+                        cascaded += int(np.abs(got - b).sum() > 1)
+    assert cascaded > 100

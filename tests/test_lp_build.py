@@ -117,9 +117,9 @@ def test_fixing_per_feasible_configuration_round_trips(vepc):
     p = lp.build_problem(vepc)
     sol = lp.solve(lp._with_modes(p, _assignment_modes(p, cfg.x, cfg.y, cfg.delta)))
     assert sol.status == "optimal"
-    from optiloop.loop import _configuration
+    from optiloop.loop import _binaries, _configuration
 
-    rebuilt = _configuration(vepc, cfg.x, cfg.y, cfg.delta, sol)
+    rebuilt = _configuration(p, _binaries(p, cfg.x, cfg.y, cfg.delta), sol)
     assert validate_configuration(vepc, rebuilt, tol=1e-6) == []
 
 

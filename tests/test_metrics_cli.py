@@ -299,6 +299,36 @@ def test_cli_operator_scale_generate_exits_5(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        (["--strategies", "bogus"], 2),
+        (["--gen-demand", "5"], 2),
+        (["--seeds=-1"], 2),
+        (["--seed=-3"], 2),
+        (["--rounds=-1"], 2),
+        (["--out", "missing/x.csv"], 2),
+        (["--gen-nodes", "0"], 5),
+        (["--gen-demand", "5,1"], 5),
+        (["--gen-demand", "nan,1"], 5),
+        (["--gen-demand", "1,inf"], 5),
+    ],
+)
+def test_cli_malformed_argument_exits_without_traceback(tmp_path, extra, code):
+    out = tmp_path / "x.csv"
+    extra = [str(tmp_path / arg) if arg == "missing/x.csv" else arg for arg in extra]
+    res = _cli("run", "--generate", "--gen-endpoints", "1", "--gen-nodes", "3",
+               "--strategies", "all_active", "--out", str(out), *extra)
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    if code == 2:  # argparse: usage, then what is wrong
+        assert res.stderr.splitlines()[-1].startswith("optiloop: error: ")
+    else:
+        assert res.stderr.startswith("error: ShapeMismatch:")
+        assert res.stderr.count("\n") == 1
+    assert not out.exists()  # rejected before any strategy ran
+
+
 def test_cli_log_verbosity_env(tmp_path):
     scen = tmp_path / "fixture.json"
     save_scenario(vepc_two_node(), scen)

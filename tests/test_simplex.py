@@ -15,6 +15,21 @@ from optiloop.simplex import _pivot_once, solve_dense
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
+def _highs(c, A, b, senses):
+    """HiGHS's result (``linprog``) for the LP ``solve_dense`` takes."""
+    le = [i for i, sn in enumerate(senses) if sn == "le"]
+    eq = [i for i, sn in enumerate(senses) if sn == "eq"]
+    return linprog(
+        c,
+        A_ub=A[le] if le else None,
+        b_ub=b[le] if le else None,
+        A_eq=A[eq] if eq else None,
+        b_eq=b[eq] if eq else None,
+        bounds=(0, None),
+        method="highs",
+    )
+
+
 def test_min_x_at_least_three():
     # min x  s.t.  x >= 3  (as -x <= -3)
     res = solve_dense(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]), ["le"])
@@ -91,17 +106,7 @@ def test_matches_reference_solver_on_random_lps():
             b = np.round(A @ x0, 6)  # feasible by construction
             c = np.round(np.abs(rng.normal(size=n)), 3)  # bounded below
         senses = ["le" if u < 0.7 else "eq" for u in rng.random(m)]
-        le = [i for i, sn in enumerate(senses) if sn == "le"]
-        eq = [i for i, sn in enumerate(senses) if sn == "eq"]
-        ref = linprog(
-            c,
-            A_ub=A[le] if le else None,
-            b_ub=b[le] if le else None,
-            A_eq=A[eq] if eq else None,
-            b_eq=b[eq] if eq else None,
-            bounds=(0, None),
-            method="highs",
-        )
+        ref = _highs(c, A, b, senses)
         mine = solve_dense(c, A, b, senses)
         assert _STATUS.get(ref.status) == mine.status
         if mine.status == "optimal":
@@ -238,22 +243,30 @@ def _degenerate_lp(seed):
 @pytest.mark.parametrize("seed", [451, 3910])
 def test_matches_frozen_reference_bit_for_bit_under_blands_rule(seed):
     # These stall for more than 10 * (m + 20) pivots, so pricing falls back
-    # to Bland's rule; no other input in this file gets that far.
+    # to Bland's rule; no other input in this file gets that far.  Under the
+    # fallback the frozen kernel still picks the leaving row artificial-first,
+    # so the pivots may part (seed 451: 528 pivots against its 584) and only
+    # the status and objective are compared.
     c, A, b, senses = _degenerate_lp(seed)
     want = reference_simplex.solve_dense(c, A, b, senses)
-    assert want.iterations > 10 * (A.shape[0] + 20)
-    _assert_same_result(solve_dense(c, A, b, senses), want)
+    got = solve_dense(c, A, b, senses)
+    for res in (want, got):
+        assert res.iterations > 10 * (A.shape[0] + 20)
+    assert got.status == want.status
+    assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
 
 
-def test_runs_out_of_pivots_where_frozen_reference_does():
-    # Both kernels cycle here even under Bland's rule, and pivot alike until
-    # the iteration budget runs out.
-    c, A, b, senses = _degenerate_lp(1560)
-    with pytest.raises(SolverStall) as want:
-        reference_simplex.solve_dense(c, A, b, senses)
-    with pytest.raises(SolverStall) as got:
-        solve_dense(c, A, b, senses)
-    assert str(got.value) == str(want.value)
+def test_blands_rule_terminates_where_frozen_reference_stalls():
+    # The frozen kernel cycles on these even after its fallback, because it
+    # picks the leaving row artificial-first; Bland's leaving rule ends them,
+    # and HiGHS agrees that all four are infeasible.
+    for seed in (1512, 1560, 1863, 2282):
+        c, A, b, senses = _degenerate_lp(seed)
+        with pytest.raises(SolverStall):
+            reference_simplex.solve_dense(c, A, b, senses)
+        got = solve_dense(c, A, b, senses)
+        assert got.status == _STATUS[_highs(c, A, b, senses).status] == "infeasible"
+        assert got.objective == np.inf
 
 
 def _toy_lps(seed):
