@@ -14,6 +14,7 @@ no traceback.  Set OPTILOOP_LOG=DEBUG|INFO|WARNING to control log verbosity
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -111,6 +112,10 @@ def main(argv=None):
         parser.error("--seed, --seeds and --rounds take nonnegative integers")
     if args.gen_demand is not None and len(args.gen_demand) != 2:
         parser.error("--gen-demand takes two numbers, lo,hi")
+    if args.oracle_budget < 1:
+        parser.error("--oracle-budget takes a positive integer")
+    if not all(0.0 < f < math.inf for f in args.factors):
+        parser.error("--factors takes finite positive numbers")
     unknown = [name for name in args.strategies if name not in STRATEGIES]
     if unknown:
         parser.error(f"unknown strategy {unknown[0]!r} (known: {', '.join(STRATEGIES)})")

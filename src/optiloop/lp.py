@@ -3,8 +3,8 @@
 The joint activation/placement/routing problem is mixed-integer, but every
 strategy in this package only ever solves versions where each binary is
 either pinned to a value or relaxed to [0, 1], so each solve is a plain LP.
-``LpProblem`` is a value: ``fix``/``relax`` return modified copies that
-share the (immutable) constraint matrix.
+``LpProblem`` is a plain value: ``fix``/``relax`` return modified copies,
+and each solve assembles its dense block from the problem's own rows.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
 records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
@@ -51,7 +51,6 @@ BINARY_KINDS = ("x", "y", "delta")
 FLOW_KINDS = ("tau", "transit", "processed")
 _ARITY = {"x": 2, "y": 1, "delta": 2, "tau": 5, "transit": 4, "processed": 4}
 
-MODE_CONTINUOUS = 0
 MODE_RELAXED = 1
 MODE_FIXED = 2
 
@@ -94,15 +93,6 @@ class LinearConstraint:
     rhs: float
 
 
-class _DenseCache:
-    """Lazily assembled dense rows, shared by all mode variants of a problem."""
-
-    def __init__(self):
-        self.matrix = None
-        self.rhs = None
-        self.senses = None
-
-
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     variables: tuple
@@ -113,7 +103,6 @@ class LpProblem:
     objective: np.ndarray
     traffic_scale: float
     layout: dict = field(default_factory=dict)  # binary kind -> column slice
-    _cache: _DenseCache = field(default_factory=_DenseCache, repr=False)
 
     def n_vars(self):
         return len(self.variables)
@@ -454,48 +443,38 @@ def relax(p, ref):
 DENSE_CELL_LIMIT = 50_000_000
 
 
-def _dense(p):
-    cache = p._cache
-    if cache.matrix is None:
-        m = len(p.constraints)
-        if m * p.n_vars() > DENSE_CELL_LIMIT:
-            raise ShapeMismatch(
-                f"problem of {m} rows x {p.n_vars()} columns exceeds the built-in "
-                "dense solver's size budget; plug an external LP solver in for "
-                "instances of this scale"
-            )
-        mat = np.zeros((m, p.n_vars()))
-        rhs = np.zeros(m)
-        senses = []
-        for r, con in enumerate(p.constraints):
-            for pos, coef in con.terms:
-                mat[r, pos] += coef
-            rhs[r] = con.rhs
-            senses.append(con.sense)
-        cache.matrix = mat
-        cache.rhs = rhs
-        cache.senses = senses
-    return cache.matrix, cache.rhs, cache.senses
-
-
 def _assemble(p, row_subset=None):
-    """Dense submatrix over free columns, with fixed values folded into the
-    rhs and [0,1] bounds appended for relaxed binaries.
+    """Dense block over the free columns of the requested rows, with fixed
+    values folded into the rhs and [0,1] bounds appended for relaxed binaries.
 
     Rows whose free part vanished and whose rhs is trivially satisfied are
     dropped; ``orig_rows`` maps kept rows back to constraint indices.
     """
-    mat, rhs, senses = _dense(p)
     orig = np.arange(len(p.constraints)) if row_subset is None else np.asarray(row_subset)
-    if row_subset is not None:
-        mat = mat[orig]
-        rhs = rhs[orig]
-        senses = [senses[i] for i in orig]
     free = p.modes != MODE_FIXED
-    fixed_cols = ~free
-    if fixed_cols.any():
-        rhs = rhs - mat[:, fixed_cols] @ p.fixed_values[fixed_cols]
-    A = mat[:, free]
+    n_free = int(free.sum())
+    if orig.size * n_free > DENSE_CELL_LIMIT:
+        raise ShapeMismatch(
+            f"problem of {orig.size} rows x {n_free} free columns exceeds the built-in "
+            "dense solver's size budget; plug an external LP solver in for "
+            "instances of this scale"
+        )
+    local = np.where(free, np.cumsum(free) - 1, -1).tolist()  # column -> free column
+    fixed_values = p.fixed_values.tolist()
+    A = np.zeros((orig.size, n_free))
+    rhs = np.zeros(orig.size)
+    senses = []
+    for r, q in enumerate(orig.tolist()):
+        con = p.constraints[q]
+        b = con.rhs
+        for pos, coef in con.terms:
+            j = local[pos]
+            if j >= 0:
+                A[r, j] += coef
+            else:
+                b -= coef * fixed_values[pos]
+        rhs[r] = b
+        senses.append(con.sense)
     senses_arr = np.array(senses)
     nonzero = (A != 0.0).any(axis=1)
     trivial = ~nonzero & np.where(
@@ -505,9 +484,8 @@ def _assemble(p, row_subset=None):
         keep = ~trivial
         A = A[keep]
         rhs = rhs[keep]
-        senses_arr = senses_arr[keep]
         orig = orig[keep]
-    senses = list(senses_arr)
+        senses = [sense for sense, k in zip(senses, keep.tolist()) if k]
     relaxed_local = np.where(p.modes[free] == MODE_RELAXED)[0]
     if relaxed_local.size:
         bound_rows = np.zeros((relaxed_local.size, A.shape[1]))
@@ -515,6 +493,7 @@ def _assemble(p, row_subset=None):
         A = np.vstack([A, bound_rows])
         rhs = np.concatenate([rhs, np.ones(relaxed_local.size)])
         senses = senses + ["le"] * relaxed_local.size
+    fixed_cols = ~free
     c_free = p.objective[free]
     offset = float(p.objective[fixed_cols] @ p.fixed_values[fixed_cols])
     return A, rhs, senses, c_free, offset, free, orig

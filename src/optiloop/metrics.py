@@ -22,8 +22,8 @@ import time
 from dataclasses import dataclass
 
 from . import baselines
-from .errors import BaselineMissing
-from .model import total_ingress
+from .errors import BaselineMissing, ShapeMismatch
+from .model import spare_compute, total_ingress
 from .scenario import GeneratorParams, generate, load_scenario, scale_demand
 
 __all__ = ["MetricsRow", "compute_metrics", "ExperimentConfig", "run_experiment", "CSV_HEADER"]
@@ -93,7 +93,6 @@ def compute_metrics(s, result, baseline, demand_factor=1.0, seed=0) -> MetricsRo
     if baseline is None or baseline.configuration is None:
         raise BaselineMissing("all-active baseline unavailable")
     cfg = result.configuration
-    lg, pg = s.logical, s.physical
 
     total = result.energy.total
     base_total = baseline.energy.total
@@ -101,17 +100,8 @@ def compute_metrics(s, result, baseline, demand_factor=1.0, seed=0) -> MetricsRo
 
     spare = 0.0
     for c in s.node_ids():
-        if cfg.y.get(c, 0) != 1:
-            continue
-        spare += pg.nodes[c].compute
-        for (cc, e, v1, v2), p in cfg.processed.items():
-            if cc == c:
-                spare -= lg.compute_per_bit[v2] * p
-        rho = pg.nodes[c].switch_cost
-        if rho > 0.0:
-            for (i, j, e, v1, v2), val in cfg.tau.items():
-                if i == c:
-                    spare -= rho * val
+        if cfg.y.get(c, 0) == 1:
+            spare = spare_compute(s, cfg, c, spare)
 
     injected = total_ingress(s)
     carried = sum(cfg.tau.values())
@@ -174,7 +164,7 @@ def run_experiment(config: ExperimentConfig):
     rows are also written as CSV.
     """
     if not set(config.strategies) <= STRATEGIES.keys():
-        raise ValueError(f"unknown strategy in {config.strategies!r}")
+        raise ShapeMismatch(f"unknown strategy in {config.strategies!r}")
     if config.scenario_path:
         base = load_scenario(config.scenario_path)
     else:

@@ -48,6 +48,7 @@ __all__ = [
     "FAMILY_NAMES",
     "derive_logical_flows",
     "validate_configuration",
+    "spare_compute",
     "energy_of",
     "total_ingress",
 ]
@@ -535,19 +536,9 @@ def validate_configuration(s: Scenario, cfg: NetworkConfiguration, tol: float = 
 
     # Family 7: compute capacity covers processing plus software switching.
     for c in nodes:
-        spec = pg.nodes[c]
-        used = 0.0
-        for (cc, e, v1, v2), p in cfg.processed.items():
-            if cc == c:
-                used += lg.compute_per_bit[v2] * p
-        egress = 0.0
-        for (i, j, e, v1, v2), val in tau.items():
-            if i == c:
-                egress += val
-        used += spec.switch_cost * egress
-        r = used - spec.compute
-        if r > 0:
-            flag(7, (c,), r, used, spec.compute)
+        spare = spare_compute(s, cfg, c)
+        if spare < 0:
+            flag(7, (c,), -spare, pg.nodes[c].compute - spare, pg.nodes[c].compute)
 
     # Family 8: delay budget, only when enabled.
     if s.delays_enabled:
@@ -590,6 +581,23 @@ def validate_configuration(s: Scenario, cfg: NetworkConfiguration, tol: float = 
 
     viols.sort(key=lambda w: (w.family, w.index))
     return viols
+
+
+def spare_compute(s: Scenario, cfg: NetworkConfiguration, c, start=0.0) -> float:
+    """``start`` plus k(c), less the compute that processing and software
+    switching use at node ``c``: the slack of family 7, negative when it is
+    violated.  The terms are subtracted one at a time, processing first, so
+    a sum over nodes threaded through ``start`` is one running total."""
+    spec = s.physical.nodes[c]
+    spare = start + spec.compute
+    for (cc, e, v1, v2), p in cfg.processed.items():
+        if cc == c:
+            spare -= s.logical.compute_per_bit[v2] * p
+    if spec.switch_cost > 0.0:
+        for (i, j, e, v1, v2), val in cfg.tau.items():
+            if i == c:
+                spare -= spec.switch_cost * val
+    return spare
 
 
 # ---------------------------------------------------------------------------

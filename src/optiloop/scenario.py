@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, ScenarioFormatError, ShapeMismatch
+from .errors import CyclicLogicalGraph, GenerationFailed, ScenarioFormatError, ShapeMismatch
 from .model import EnergyModel, Link, LogicalGraph, Node, PhysicalGraph, Scenario
 
 __all__ = [
@@ -372,7 +372,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 for row in doc.get("links", [])
             },
         )
-        energy = EnergyModel(**doc.get("energy", {}))
+        energy = doc.get("energy", {})
+        if not isinstance(energy, dict):
+            raise ScenarioFormatError("energy must be a JSON object")
+        energy = EnergyModel(**{name: float(value) for name, value in energy.items()})
         max_delay = doc.get("max_delay", {})
         if not isinstance(max_delay, dict):
             raise ScenarioFormatError("max_delay must be a JSON object")
@@ -389,7 +392,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             delays_enabled=bool(doc.get("delays_enabled", False)),
             provenance=doc.get("generator"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, CyclicLogicalGraph) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
 
 
@@ -403,6 +406,8 @@ def load_scenario(path) -> Scenario:
         ) from exc
     except UnicodeDecodeError as exc:
         raise ScenarioFormatError(f"{path} is not UTF-8: {exc}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an int too long
+        raise ScenarioFormatError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:

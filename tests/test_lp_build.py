@@ -1,14 +1,16 @@
 """Problem construction, variable modes and the text dump."""
 
+import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import single_vnf_scenario
 from corpus import make_toy
 from optiloop import lp
-from optiloop.errors import InvalidMode
-from optiloop.loop import _all_on, _assignment_modes
+from optiloop.errors import InvalidMode, ShapeMismatch
+from optiloop.loop import _all_on, _assignment_modes, _assignment_problem
 from optiloop.model import derive_logical_flows, validate_configuration
 from optiloop.scenario import GeneratorParams, generate, scale_demand
 
@@ -80,7 +82,7 @@ def test_fix_relax_round_trip(vepc):
     assert p.mode_of(ref) == lp.RELAXED  # original untouched
     r = lp.relax(q, ref)
     assert r.mode_of(ref) == lp.RELAXED
-    assert r.constraints is p.constraints  # matrix shared, modes copied
+    assert r.constraints is p.constraints  # rows shared, modes copied
 
 
 def test_flow_modes_rejected(vepc):
@@ -189,3 +191,21 @@ def test_identical_builds_solve_identically(vepc):
     s2 = lp.solve(p2)
     assert s1.objective_value == s2.objective_value
     assert s1.values == s2.values
+
+
+def test_row_subset_copy_solves_its_own_rows():
+    p = lp.build_problem(make_toy(3))
+    assert lp.solve(p).objective_value > 100.0
+    head = dataclasses.replace(p, constraints=p.constraints[:5])
+    assert lp.solve(head).objective_value == 0.0
+
+
+def test_cell_limit_guards_the_assembled_block(monkeypatch):
+    p = lp.build_problem(make_toy(3))
+    pinned = _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
+    rows = len(p.constraints)
+    flows = p.n_vars() - p.n_binaries()
+    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", rows * (flows + p.n_vars()) // 2)
+    assert lp.solve(pinned).status == "optimal"
+    with pytest.raises(ShapeMismatch):
+        lp.solve(p)

@@ -16,6 +16,7 @@ from optiloop.errors import (
     BaselineMissing,
     GenerationFailed,
     InvariantBroken,
+    OptiloopError,
     RepairDiverged,
     ShapeMismatch,
     SolverStall,
@@ -162,6 +163,12 @@ def test_csv_components_sum_to_total(tmp_path):
             for k in ("e_idle_w", "e_placement_w", "e_proc_w", "e_switch_w", "e_link_w")
         )
         assert abs(parts - float(row["total_energy_w"])) <= 1e-6 * max(1.0, parts)
+
+
+def test_experiment_rejects_unknown_strategy(tmp_path):
+    with pytest.raises(OptiloopError):
+        run_experiment(_experiment(tmp_path, strategies=("all_active", "bogus")))
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_processing_power_scales_linearly_with_factor(tmp_path):
@@ -312,6 +319,12 @@ def test_cli_operator_scale_generate_exits_5(tmp_path):
         (["--gen-demand", "5,1"], 5),
         (["--gen-demand", "nan,1"], 5),
         (["--gen-demand", "1,inf"], 5),
+        (["--oracle-budget", "0"], 2),
+        (["--oracle-budget=-5"], 2),
+        (["--factors", "nan"], 2),
+        (["--factors", "inf"], 2),
+        (["--factors", "0"], 2),
+        (["--factors=-1"], 2),
     ],
 )
 def test_cli_malformed_argument_exits_without_traceback(tmp_path, extra, code):

@@ -11,7 +11,9 @@ from optiloop.loop import initial_solution
 from optiloop.model import (
     Link,
     NetworkConfiguration,
+    Node,
     PhysicalGraph,
+    spare_compute,
     validate_configuration,
 )
 from reference_checker import check_all
@@ -45,6 +47,22 @@ def test_capacity_cut_flags_exactly_that_link(vepc, vepc_config):
     )
     viols = validate_configuration(squeezed, vepc_config, tol=1e-9)
     assert [(v.family, v.index) for v in viols] == [(4, ("n1", "n2"))]
+    assert viols[0].residual == pytest.approx(0.1 * GIG)
+
+
+def test_compute_overload_flags_the_node_by_its_spare_compute(vepc, vepc_config):
+    n1 = vepc.physical.nodes["n1"]
+    used = n1.compute - spare_compute(vepc, vepc_config, "n1")
+    squeezed = dataclasses.replace(
+        vepc,
+        physical=PhysicalGraph(
+            nodes={**vepc.physical.nodes, "n1": Node(used - 0.1 * GIG, n1.switch_cost)},
+            links=vepc.physical.links,
+        ),
+    )
+    viols = validate_configuration(squeezed, vepc_config, tol=1e-9)
+    assert [(v.family, v.index) for v in viols] == [(7, ("n1",))]
+    assert viols[0].residual == -spare_compute(squeezed, vepc_config, "n1")
     assert viols[0].residual == pytest.approx(0.1 * GIG)
 
 

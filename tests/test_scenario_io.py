@@ -2,8 +2,12 @@
 
 import importlib.resources
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optiloop.errors import ScenarioFormatError, ShapeMismatch
 from optiloop.model import derive_logical_flows
@@ -186,7 +190,14 @@ MALFORMED = {  # case -> (path into the fixture's document, value put there)
     "nan_max_delay": (("max_delay", "RRH"), NAN),
     "inf_max_delay": (("max_delay", "RRH"), INF),
     "neg_max_delay": (("max_delay", "RRH"), -1.0),
+    "rate_overflows_float": (("demand", 0, "rate"), 10**400),
+    "energy_overflows_float": (("energy", "idle_power"), 10**400),
 }
+RAW = {  # case -> file text that json.load itself rejects
+    "nested_too_deep": "[" * 200_000,
+    "int_too_long": '{"demand": [{"rate": ' + "9" * 5001 + "}]}",
+}
+CYCLE_ROW = {"prev": "HSS", "at": "MME", "next": "eNB", "ratio": 1.0}
 
 
 def write_malformed(path, case):
@@ -195,20 +206,62 @@ def write_malformed(path, case):
     if case == "not_utf8":
         path.write_bytes(json.dumps(doc).replace("RRH", "RRH\xe9").encode("latin-1"))
         return
-    (*where, last), value = MALFORMED[case]
-    target = doc
-    for key in where:
-        target = target[key]
-    target[last] = value
+    if case in RAW:
+        path.write_text(RAW[case])
+        return
+    if case == "cyclic_chi":
+        doc["chi"].append(CYCLE_ROW)
+    else:
+        (*where, last), value = MALFORMED[case]
+        target = doc
+        for key in where:
+            target = target[key]
+        target[last] = value
     path.write_text(json.dumps(doc))  # NaN and Infinity tokens load back as floats
 
 
-@pytest.mark.parametrize("case", ["not_utf8", *MALFORMED])
+@pytest.mark.parametrize("case", ["not_utf8", "cyclic_chi", *RAW, *MALFORMED])
 def test_malformed_documents_raise_format_error(tmp_path, case):
     path = tmp_path / "bad.json"
     write_malformed(path, case)
     with pytest.raises(ScenarioFormatError):
         load_scenario(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_fixture(draw):
+    """The fixture's document with one value, at any depth, replaced."""
+    doc = scenario_to_dict(vepc_two_node())
+    target = doc
+    while True:
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        key = draw(st.sampled_from(keys))
+        child = target[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            target = child
+        else:
+            target[key] = draw(JSON_VALUES)
+            return doc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(doc=JSON_VALUES | mutated_fixture())
+def test_any_json_document_loads_or_raises_format_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_scenario(path)
+        except ScenarioFormatError:
+            pass
 
 
 def test_generated_scenario_round_trips_with_provenance(tmp_path):
