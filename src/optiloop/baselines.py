@@ -16,11 +16,9 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import lp
 from .errors import BudgetExceeded, InstanceInfeasible
-from .loop import _assignment_problem, _configuration, initial_solution, run_loop
+from .loop import _assignment_problem, _binaries, _configuration, initial_solution, run_loop
 from .model import EnergyBreakdown, derive_logical_flows, energy_of
 
 __all__ = [
@@ -262,12 +260,12 @@ def consolidation(s) -> StrategyResult:
                     pending.append((rank[v3], vtgt, chosen, vtgt, v3, amount * ratio))
 
     p = lp.build_problem(s)
-    b = np.zeros(p.n_binaries(), dtype=np.int8)
-    b[p.layout["x"]] = [lk in active_links for lk in s.link_ids()]
-    b[p.layout["y"]] = [c in active_nodes for c in s.node_ids()]
-    b[p.layout["delta"]] = [
-        v in deployed.get(c, ()) for c in s.node_ids() for v in s.vnf_ids()
-    ]
+    b = _binaries(
+        p,
+        dict.fromkeys(active_links, 1),
+        dict.fromkeys(active_nodes, 1),
+        {(c, v): 1 for c, vnfs in deployed.items() for v in vnfs},
+    )
     sol = lp.solve(_assignment_problem(p, b))
     if sol.status != "optimal":
         raise InstanceInfeasible(
@@ -339,10 +337,11 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
         )
 
     def links_for(active):
-        return [
-            (i not in pg.nodes or i in active) and (j not in pg.nodes or j in active)
-            for (i, j) in s.link_ids()
-        ]
+        return {
+            (i, j): 1
+            for (i, j) in pg.links
+            if (i not in pg.nodes or i in active) and (j not in pg.nodes or j in active)
+        }
 
     subsets = []
     for bits in range(1 << len(nodes)):
@@ -389,11 +388,9 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
                     assignments=state["assignments"],
                 )
             state["assignments"] += 1
-            b = np.zeros(p.n_binaries(), dtype=np.int8)
-            b[p.layout["x"]] = links_for(active)
-            b[p.layout["y"]] = [c in active for c in nodes]
-            chosen_set = set(chosen)
-            b[p.layout["delta"]] = [(c, v) in chosen_set for c in nodes for v in vnfs]
+            b = _binaries(
+                p, links_for(active), dict.fromkeys(active, 1), dict.fromkeys(chosen, 1)
+            )
             sol = lp.solve(_assignment_problem(p, b))
             state["lp_solves"] += 1
             if sol.status != "optimal":

@@ -108,6 +108,9 @@ def main(argv=None):
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in ("factors", "seeds", "strategies"):
+        if not getattr(args, name):
+            parser.error(f"--{name} takes at least one value")
     if min(args.seed, args.rounds, *args.seeds) < 0:
         parser.error("--seed, --seeds and --rounds take nonnegative integers")
     if args.gen_demand is not None and len(args.gen_demand) != 2:

@@ -20,7 +20,7 @@ overlap; the repair procedure keys its decisions off exactly those
 families.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,8 @@ class IisReport:
 
 
 def _feasible(p, rows):
-    A, rhs, senses, c_free, _offset, _free, _orig = _assemble(p, row_subset=rows)
+    q = replace(p, constraints=tuple(p.constraints[r] for r in rows))
+    A, rhs, senses, c_free, _offset, _free, _orig = _assemble(q)
     res = solve_dense(c_free, A, rhs, senses, feasibility_only=True)
     return res.status != "infeasible"
 

@@ -75,9 +75,9 @@ class LoopState:
     activations: int = 0
     deactivations: int = 0
     telemetry: list = field(default_factory=list)
-    # (id of constraints, bytes of modes, fixed values, objective) ->
-    # (problem, solution) for every LP this run solved; holding the problem
-    # keeps its constraints tuple, and so that id, alive.
+    # (id of constraints, bytes of pins, bytes of objective) -> (problem,
+    # solution) for every LP this run solved; holding the problem keeps its
+    # constraints tuple, and so that id, alive.
     memo: dict = field(default_factory=dict)
 
     def count_solves(self, phase, n=1):
@@ -159,16 +159,12 @@ def _binaries(p, x, y, delta):
 def _assignment_problem(p, b, relax=None):
     """``p`` with every binary pinned at its value in ``b``, except those
     ``relax`` names: it maps a binary kind to a value, and binaries of that
-    kind holding that value are relaxed to [0, 1] with a fixed value of 0."""
+    kind holding that value are relaxed to [0, 1]."""
     free = np.zeros(b.size, dtype=bool)
     for kind, value in (relax or {}).items():
         cols = p.layout[kind]
         free[cols] = b[cols] == value
-    modes = p.modes.copy()
-    fixed_values = p.fixed_values.copy()
-    modes[: b.size] = np.where(free, lp.MODE_RELAXED, lp.MODE_FIXED)
-    fixed_values[: b.size] = np.where(free, 0, b)
-    return replace(p, modes=modes, fixed_values=fixed_values)
+    return replace(p, pins=np.where(free, -1, b))
 
 
 def _assignment_modes(p, x, y, delta, relax=None):
@@ -240,8 +236,7 @@ def initial_solution(s):
 def _solve(state, phase, p):
     """Solution of ``p``, solved and counted for ``phase`` only the first
     time this run meets that LP."""
-    arrays = (p.modes, p.fixed_values, p.objective)
-    key = (id(p.constraints), *(a.tobytes() for a in arrays))
+    key = (id(p.constraints), p.pins.tobytes(), p.objective.tobytes())
     if key not in state.memo:
         state.memo[key] = (p, lp.solve(p))
         state.count_solves(phase)

@@ -1,16 +1,18 @@
-"""Linear-program representation of a scenario, with per-variable modes.
+"""Linear-program representation of a scenario, with one pin per binary.
 
 The joint activation/placement/routing problem is mixed-integer, but every
 strategy in this package only ever solves versions where each binary is
 either pinned to a value or relaxed to [0, 1], so each solve is a plain LP.
-``LpProblem`` is a plain value: ``fix``/``relax`` return modified copies,
-and each solve assembles its dense block from the problem's own rows.
+``LpProblem`` is a plain value: its rows and objective plus ``pins``, one
+int8 per binary (0 or 1 pins it, -1 relaxes it to [0, 1]); the flows are
+continuous.  ``fix``/``relax`` return modified copies, and each solve
+assembles its dense block from the problem's own rows.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
 records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
 the sorted nodes, then ``delta`` over (node, function) pairs, node-major.
 Code that holds one value per binary can therefore keep a vector over
-columns ``0..n_binaries()-1`` and set modes with slice assignments.
+columns ``0..n_binaries()-1`` and use it as the pins.
 
 The row space follows the flow variables, which exist only for live
 commodities (a demanded first hop or a positive derived flow).  The
@@ -50,9 +52,6 @@ __all__ = [
 BINARY_KINDS = ("x", "y", "delta")
 FLOW_KINDS = ("tau", "transit", "processed")
 _ARITY = {"x": 2, "y": 1, "delta": 2, "tau": 5, "transit": 4, "processed": 4}
-
-MODE_RELAXED = 1
-MODE_FIXED = 2
 
 RELAXED = "relaxed01"
 
@@ -97,8 +96,7 @@ class LinearConstraint:
 class LpProblem:
     variables: tuple
     var_index: dict
-    modes: np.ndarray
-    fixed_values: np.ndarray
+    pins: np.ndarray  # int8 per binary column: 0 or 1 pinned, -1 relaxed
     constraints: tuple
     objective: np.ndarray
     traffic_scale: float
@@ -109,14 +107,14 @@ class LpProblem:
 
     def n_binaries(self):
         """Number of binary columns; they lead the column space."""
-        return max((cols.stop for cols in self.layout.values()), default=0)
+        return self.pins.size
 
     def mode_of(self, ref):
         pos = self._pos(ref)
-        m = self.modes[pos]
-        if m == MODE_FIXED:
-            return ("fixed", float(self.fixed_values[pos]))
-        return RELAXED if m == MODE_RELAXED else "continuous"
+        if pos >= self.pins.size:
+            return "continuous"
+        pin = self.pins[pos]
+        return RELAXED if pin < 0 else ("fixed", float(pin))
 
     def _pos(self, ref):
         try:
@@ -159,7 +157,7 @@ def build_problem(s):
     Each activation row has two terms, the gated binary (a link's ``x`` in
     family 3, a placement's ``delta`` in family 5) first and the node's
     ``y`` gating it second; callers read the on/off cascades from them.
-    ``fix``, ``relax`` and ``_with_modes`` set the binaries' modes.
+    ``fix``, ``relax`` and ``_with_modes`` set the binaries' pins.
     """
     lg, pg = s.logical, s.physical
     eps = s.endpoint_ids()
@@ -389,14 +387,10 @@ def build_problem(s):
                 per_bit += em.switch_energy_per_bit
             objective[pos] = per_bit * t0
 
-    mode_arr = np.zeros(nv, dtype=np.int8)
-    mode_arr[:nb] = MODE_RELAXED
-
     return LpProblem(
         variables=tuple(variables),
         var_index=var_index,
-        modes=mode_arr,
-        fixed_values=np.zeros(nv),
+        pins=np.full(nb, -1, dtype=np.int8),
         constraints=tuple(cons),
         objective=objective,
         traffic_scale=t0,
@@ -405,23 +399,21 @@ def build_problem(s):
 
 
 def _with_modes(p, updates):
-    modes = p.modes.copy()
-    fixed_vals = p.fixed_values.copy()
+    pins = p.pins.copy()
     for ref, mode in updates.items():
         pos = p._pos(ref)
         if not ref.is_binary():
             raise InvalidMode(f"cannot change mode of flow variable {ref}")
         if mode == RELAXED:
-            modes[pos] = MODE_RELAXED
+            pins[pos] = -1
         elif isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "fixed":
             value = float(mode[1])
             if value not in (0.0, 1.0):
                 raise InvalidMode(f"binary {ref} fixed to non-binary value {value}")
-            modes[pos] = MODE_FIXED
-            fixed_vals[pos] = value
+            pins[pos] = value
         else:
             raise InvalidMode(f"unrecognized mode {mode!r} for {ref}")
-    return replace(p, modes=modes, fixed_values=fixed_vals)
+    return replace(p, pins=pins)
 
 
 def fix(p, ref, value):
@@ -443,38 +435,48 @@ def relax(p, ref):
 DENSE_CELL_LIMIT = 50_000_000
 
 
-def _assemble(p, row_subset=None):
-    """Dense block over the free columns of the requested rows, with fixed
-    values folded into the rhs and [0,1] bounds appended for relaxed binaries.
+def _assemble(p):
+    """Dense block over the free columns, with the pinned values folded into
+    the rhs and [0,1] bound rows appended for the relaxed binaries.
 
     Rows whose free part vanished and whose rhs is trivially satisfied are
     dropped; ``orig_rows`` maps kept rows back to constraint indices.
+    Raises ShapeMismatch before allocating anything when the tableau that
+    ``solve_dense`` builds from the block could exceed ``DENSE_CELL_LIMIT``.
     """
-    orig = np.arange(len(p.constraints)) if row_subset is None else np.asarray(row_subset)
-    free = p.modes != MODE_FIXED
+    n_rows = len(p.constraints)
+    relaxed = p.pins < 0
+    n_relaxed = int(relaxed.sum())
+    free = np.ones(p.n_vars(), dtype=bool)
+    free[: p.pins.size] = relaxed
     n_free = int(free.sum())
-    if orig.size * n_free > DENSE_CELL_LIMIT:
+    # Tableau: the rows plus two objective rows, by the free columns, at
+    # most a slack and an artificial per row, and the rhs.
+    m = n_rows + n_relaxed
+    cells = (m + 2) * (n_free + 2 * m + 1)
+    if cells > DENSE_CELL_LIMIT:
         raise ShapeMismatch(
-            f"problem of {orig.size} rows x {n_free} free columns exceeds the built-in "
-            "dense solver's size budget; plug an external LP solver in for "
-            "instances of this scale"
+            f"problem of {n_rows} rows x {n_free} free columns needs up to {cells} "
+            f"tableau cells, beyond the built-in dense solver's budget of "
+            f"{DENSE_CELL_LIMIT}; plug an external LP solver in for instances of "
+            "this scale"
         )
     local = np.where(free, np.cumsum(free) - 1, -1).tolist()  # column -> free column
-    fixed_values = p.fixed_values.tolist()
-    A = np.zeros((orig.size, n_free))
-    rhs = np.zeros(orig.size)
+    pins = p.pins.tolist()
+    A = np.zeros((n_rows, n_free))
+    rhs = np.zeros(n_rows)
     senses = []
-    for r, q in enumerate(orig.tolist()):
-        con = p.constraints[q]
+    for r, con in enumerate(p.constraints):
         b = con.rhs
         for pos, coef in con.terms:
             j = local[pos]
             if j >= 0:
                 A[r, j] += coef
             else:
-                b -= coef * fixed_values[pos]
+                b -= coef * pins[pos]
         rhs[r] = b
         senses.append(con.sense)
+    orig = np.arange(n_rows)
     senses_arr = np.array(senses)
     nonzero = (A != 0.0).any(axis=1)
     trivial = ~nonzero & np.where(
@@ -486,16 +488,13 @@ def _assemble(p, row_subset=None):
         rhs = rhs[keep]
         orig = orig[keep]
         senses = [sense for sense, k in zip(senses, keep.tolist()) if k]
-    relaxed_local = np.where(p.modes[free] == MODE_RELAXED)[0]
-    if relaxed_local.size:
-        bound_rows = np.zeros((relaxed_local.size, A.shape[1]))
-        bound_rows[np.arange(relaxed_local.size), relaxed_local] = 1.0
-        A = np.vstack([A, bound_rows])
-        rhs = np.concatenate([rhs, np.ones(relaxed_local.size)])
-        senses = senses + ["le"] * relaxed_local.size
-    fixed_cols = ~free
+    if n_relaxed:
+        # The relaxed binaries are the leading free columns.
+        A = np.vstack([A, np.eye(n_relaxed, n_free)])
+        rhs = np.concatenate([rhs, np.ones(n_relaxed)])
+        senses = senses + ["le"] * n_relaxed
     c_free = p.objective[free]
-    offset = float(p.objective[fixed_cols] @ p.fixed_values[fixed_cols])
+    offset = float(p.objective[~free] @ p.pins[~relaxed].astype(float))
     return A, rhs, senses, c_free, offset, free, orig
 
 
@@ -523,7 +522,8 @@ def solve(p, feasibility_only=False):
     if res.status == "unbounded":
         return LpSolution("unbounded", {}, -math.inf, res.iterations, 0.0, None)
 
-    full = p.fixed_values.copy()
+    full = np.zeros(p.n_vars())
+    full[: p.pins.size] = p.pins
     full[free] = res.x
     full[p.n_binaries() :] *= p.traffic_scale  # the flows
     values = dict(zip(p.variables, full.tolist()))
@@ -574,7 +574,7 @@ def _fmt(x):
 
 
 def to_lp_text(p):
-    """Serialize the problem (with its current modes) in CPLEX LP format."""
+    """Serialize the problem (with its current pins) in CPLEX LP format."""
     names = [var_name(ref) for ref in p.variables]
     lines = ["Minimize", " obj:"]
     terms = []
@@ -591,11 +591,7 @@ def to_lp_text(p):
         op = "<=" if con.sense == "le" else "="
         lines.append(f" {row_name(con.cid)}:{''.join(parts)} {op} {_fmt(con.rhs)}")
     lines.append("Bounds")
-    for pos, name in enumerate(names):
-        mode = p.modes[pos]
-        if mode == MODE_FIXED:
-            lines.append(f" {name} = {_fmt(p.fixed_values[pos])}")
-        elif mode == MODE_RELAXED:
-            lines.append(f" 0 <= {name} <= 1")
+    for name, pin in zip(names, p.pins.tolist()):
+        lines.append(f" 0 <= {name} <= 1" if pin < 0 else f" {name} = {_fmt(pin)}")
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -250,22 +250,9 @@ def scale_demand(s: Scenario, factor: float) -> Scenario:
     """Multiply every ingress demand by ``factor``; everything else as-is."""
     if factor <= 0:
         raise ShapeMismatch("demand factor must be positive")
-    lg = s.logical
-    scaled = LogicalGraph(
-        endpoints=lg.endpoints,
-        vnfs=lg.vnfs,
-        chi=lg.chi,
-        ingress_demand={k: rate * factor for k, rate in lg.ingress_demand.items()},
-        compute_per_bit=lg.compute_per_bit,
-        per_vnf_delay=lg.per_vnf_delay,
-    )
-    return Scenario(
-        logical=scaled,
-        physical=s.physical,
-        energy=s.energy,
-        max_delay=s.max_delay,
-        delays_enabled=s.delays_enabled,
-        provenance=s.provenance,
+    demand = {k: rate * factor for k, rate in s.logical.ingress_demand.items()}
+    return dataclasses.replace(
+        s, logical=dataclasses.replace(s.logical, ingress_demand=demand)
     )
 
 

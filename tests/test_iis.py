@@ -22,8 +22,7 @@ def _hand_problem(rows, n_vars=1, objective=None):
     return lp.LpProblem(
         variables=variables,
         var_index={ref: i for i, ref in enumerate(variables)},
-        modes=np.zeros(n_vars, dtype=np.int8),
-        fixed_values=np.zeros(n_vars),
+        pins=np.zeros(0, dtype=np.int8),  # no binaries
         constraints=cons,
         objective=np.asarray(objective if objective is not None else np.zeros(n_vars)),
         traffic_scale=1.0,

@@ -231,8 +231,7 @@ def test_repair_problems_follow_the_rule(monkeypatch):
         for what, item in events:
             if what == "solve" and item.objective is p0.objective:
                 rebuilt = _rule_problem(p0, x, y, delta)
-                assert np.array_equal(rebuilt.modes, item.modes)
-                assert np.array_equal(rebuilt.fixed_values, item.fixed_values)
+                assert np.array_equal(rebuilt.pins, item.pins)
                 checked["pinned"] += 1
             elif what == "solve":
                 guide = item
@@ -240,8 +239,7 @@ def test_repair_problems_follow_the_rule(monkeypatch):
                 # Each guide LP is followed by the activation it guided.
                 kind = "x" if item in links else "delta"
                 rebuilt = _guidance(_rule_problem(p0, x, y, delta, (kind, "y")))
-                assert np.array_equal(rebuilt.modes, guide.modes)
-                assert np.array_equal(rebuilt.fixed_values, guide.fixed_values)
+                assert np.array_equal(rebuilt.pins, guide.pins)
                 assert np.array_equal(rebuilt.objective, guide.objective)
                 checked[kind] += 1
                 if kind == "x":
@@ -372,8 +370,7 @@ def test_accepted_probe_is_next_guidance_problem(monkeypatch):
             if probe_p.objective is state.base_problem.objective:
                 continue  # the closing all-pinned solve, not a probe
             rebuilt = _shutdown_guidance(state.base_problem, x, y, delta)
-            assert np.array_equal(rebuilt.modes, probe_p.modes)
-            assert np.array_equal(rebuilt.fixed_values, probe_p.fixed_values)
+            assert np.array_equal(rebuilt.pins, probe_p.pins)
             assert np.array_equal(rebuilt.objective, probe_p.objective)
             checked += 1
     assert checked >= 12
@@ -421,8 +418,7 @@ def test_run_never_solves_the_same_lp_twice(monkeypatch, factor):
     real_solve = lp.solve
 
     def spy_solve(p, *args, **kwargs):
-        key = (id(p.constraints), p.modes.tobytes(), p.fixed_values.tobytes(),
-               p.objective.tobytes())
+        key = (id(p.constraints), p.pins.tobytes(), p.objective.tobytes())
         solved.append((key, p))
         return real_solve(p, *args, **kwargs)
 
@@ -602,8 +598,7 @@ def test_binary_vector_matches_mode_rule_and_cascades():
                     _assignment_problem(p, b, relax),
                     lp._with_modes(p, _assignment_modes(p, x, y, delta, relax)),
                 ):
-                    assert np.array_equal(got.modes, want.modes)
-                    assert np.array_equal(got.fixed_values, want.fixed_values)
+                    assert np.array_equal(got.pins, want.pins)
             for kind, values in held.items():
                 for key in values:
                     col = p.var_index[lp.VarRef(kind, (key,) if kind == "y" else key)]

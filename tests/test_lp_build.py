@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import single_vnf_scenario
-from corpus import make_toy
+from corpus import make_capacity_starved, make_toy
 from optiloop import lp
 from optiloop.errors import InvalidMode, ShapeMismatch
 from optiloop.loop import _all_on, _assignment_modes, _assignment_problem
@@ -205,7 +205,49 @@ def test_cell_limit_guards_the_assembled_block(monkeypatch):
     pinned = _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
     rows = len(p.constraints)
     flows = p.n_vars() - p.n_binaries()
-    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", rows * (flows + p.n_vars()) // 2)
+    # The guarded bound: rows (bound rows included) plus two objective rows,
+    # by the free columns, two auxiliary columns per row and the rhs.
+    pinned_cells = (rows + 2) * (flows + 2 * rows + 1)
+    m = rows + p.n_binaries()
+    relaxed_cells = (m + 2) * (p.n_vars() + 2 * m + 1)
+    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", (pinned_cells + relaxed_cells) // 2)
     assert lp.solve(pinned).status == "optimal"
     with pytest.raises(ShapeMismatch):
         lp.solve(p)
+
+
+def _tableau_cells(p):
+    """Cells of the tableau ``solve_dense`` allocates for ``p``: a row per
+    assembled row plus two objective rows; a column per free column, per
+    ``le`` slack and per artificial (``eq`` rows and ``le`` rows with a
+    negative rhs), plus the rhs."""
+    A, rhs, senses, *_ = lp._assemble(p)
+    le = np.array(senses) == "le"
+    cols = A.shape[1] + le.sum() + (~le | (rhs < 0)).sum() + 1
+    return (A.shape[0] + 2) * int(cols)
+
+
+def test_cell_limit_counts_bound_rows_and_auxiliary_columns(monkeypatch):
+    p = lp.build_problem(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1)))
+    block = len(p.constraints) * p.n_vars()  # requested rows x free columns
+    allocated = _tableau_cells(p)
+    assert (block, allocated) == (34_104, 83_824)
+    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", (block + allocated) // 2)
+    with pytest.raises(ShapeMismatch):
+        lp.solve(p)
+
+
+def test_cell_limit_never_undercounts_the_tableau(monkeypatch):
+    problems = []
+    for seed in range(6):
+        for s in (make_toy(seed), make_capacity_starved(seed)):
+            p = lp.build_problem(s)
+            on = np.ones(p.n_binaries(), dtype=np.int8)
+            # Relaxed nodes under pinned links and placements give the
+            # activation rows a negative rhs: a slack and an artificial each.
+            problems += [p, _assignment_problem(p, on), _assignment_problem(p, on, {"y": 1})]
+    for q in problems:
+        monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", _tableau_cells(q) - 1)
+        with pytest.raises(ShapeMismatch):
+            lp.solve(q)
+        monkeypatch.undo()

@@ -325,6 +325,9 @@ def test_cli_operator_scale_generate_exits_5(tmp_path):
         (["--factors", "inf"], 2),
         (["--factors", "0"], 2),
         (["--factors=-1"], 2),
+        (["--factors", ","], 2),
+        (["--seeds", ","], 2),
+        (["--strategies", ","], 2),
     ],
 )
 def test_cli_malformed_argument_exits_without_traceback(tmp_path, extra, code):

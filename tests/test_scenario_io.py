@@ -1,5 +1,6 @@
 """Scenario generation, scaling and the JSON wire format."""
 
+import dataclasses
 import importlib.resources
 import json
 import tempfile
@@ -134,6 +135,32 @@ def test_scale_doubles_derived_flows(vepc):
     assert set(base) == set(doubled)
     for key in base:
         assert doubled[key] == pytest.approx(2.0 * base[key], rel=1e-12)
+
+
+def test_scale_changes_only_the_demand():
+    base = generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1))
+    vnfs = sorted(base.logical.vnfs)
+    s = dataclasses.replace(
+        base,
+        logical=dataclasses.replace(
+            base.logical,
+            compute_per_bit={v: 0.5 + i for i, v in enumerate(vnfs)},
+            per_vnf_delay={v: 1e-3 * (i + 1) for i, v in enumerate(vnfs)},
+        ),
+        max_delay={e: 0.25 for e in base.logical.endpoints},
+        delays_enabled=True,
+    )
+    scaled = scale_demand(s, 2.5)
+    demand = s.logical.ingress_demand
+    assert scaled.logical.ingress_demand == {k: 2.5 * rate for k, rate in demand.items()}
+    for f in dataclasses.fields(s.logical):
+        if f.name != "ingress_demand":
+            assert getattr(scaled.logical, f.name) == getattr(s.logical, f.name), f.name
+    for f in dataclasses.fields(s):
+        if f.name != "logical":
+            assert getattr(scaled, f.name) == getattr(s, f.name), f.name
+    assert scaled.physical is s.physical and scaled.energy is s.energy
+    assert scaled.provenance is not None and scaled.delays_enabled
 
 
 def test_scale_rejects_nonpositive(vepc):
