@@ -319,8 +319,7 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
                 if i == e and j in pg.nodes:
                     demand_attach[e].add(j)
 
-    state = {"best": None, "best_obj": float("inf"), "assignments": 0,
-             "pruned": 0, "lp_solves": 0}
+    state = {"best": None, "best_obj": float("inf"), "assignments": 0, "pruned": 0}
 
     def finish(found, exact):
         cfg = _configuration(p, *found)
@@ -329,7 +328,7 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
             cfg,
             energy_of(s, cfg),
             {
-                "lp_solves": state["lp_solves"],
+                "lp_solves": state["assignments"],  # one solve per assignment
                 "assignments": state["assignments"],
                 "pruned": state["pruned"],
                 "exact": exact,
@@ -392,7 +391,6 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
                 p, links_for(active), dict.fromkeys(active, 1), dict.fromkeys(chosen, 1)
             )
             sol = lp.solve(_assignment_problem(p, b))
-            state["lp_solves"] += 1
             if sol.status != "optimal":
                 continue
             if sol.objective_value < state["best_obj"] - 1e-9:

@@ -3,13 +3,13 @@
     optiloop run --scenario net.json --factors 0.5,1,2 \
         --strategies all_active,optiloop --seeds 0,1 --out results.csv
 
-Exit codes: 0 success, 2 scenario parse error or malformed argument (before
-any strategy runs), 3 infeasible instance, 4 enumeration budget exceeded,
-5 any other optiloop error (e.g. an instance too large for the built-in
-solver, a solver stall, a diverged repair, a failed generation or a broken
-loop invariant).  Every error exit prints one ``error:`` line to stderr and
-no traceback.  Set OPTILOOP_LOG=DEBUG|INFO|WARNING to control log verbosity
-(telemetry lines are logged at INFO).
+Exit codes: 0 success, 2 scenario parse error, malformed argument or unknown
+OPTILOOP_LOG level (before any strategy runs), 3 infeasible instance, 4
+enumeration budget exceeded, 5 any other optiloop error (e.g. an instance too
+large for the built-in solver, a solver stall, a diverged repair, a failed
+generation or a broken loop invariant).  Every error exit prints one
+``error:`` line to stderr and no traceback.  Set OPTILOOP_LOG=DEBUG|INFO|WARNING
+to control log verbosity (telemetry lines are logged at INFO).
 """
 
 import argparse
@@ -102,12 +102,12 @@ def _generator_params(args):
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("OPTILOOP_LOG", "WARNING").upper(),
-        format="%(message)s",
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
+    level = os.environ.get("OPTILOOP_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        parser.error(f"OPTILOOP_LOG={level!r} is not a log level (DEBUG, INFO, WARNING, ...)")
+    logging.basicConfig(level=level, format="%(message)s")
     for name in ("factors", "seeds", "strategies"):
         if not getattr(args, name):
             parser.error(f"--{name} takes at least one value")

@@ -19,11 +19,15 @@ Each round then runs two procedures:
   Compute capacity present: same with node/placement binaries, activating
   one (node, function) pair drawn proportionally to its relaxed value.
 
-* ``save_energy`` hunts for shutdowns: fix inactive binaries at 0, relax
-  active ones, solve, then probe the single active element (link, node or
-  placement) with the smallest relaxed value by pinning it to 0 and
-  re-solving.  A feasible probe is adopted and the hunt restarts; the
-  first rejected probe ends the phase.
+* ``save_energy`` hunts for shutdowns among the active elements that draw
+  fixed power (nodes, and placements when instance power is positive):
+  fix inactive binaries at 0, relax active ones, solve, then probe those
+  elements in order of their relaxed values by pinning each to 0 (with
+  the links and placements it gates) and re-solving.  The first feasible
+  probe is adopted and the hunt restarts; the phase ends when every such
+  element still on has been probed and rejected.  Links and unpowered
+  placements draw no fixed power, so switching one off can only lengthen
+  routes; they go off only with their nodes.
 
 Every LP goes through ``_solve``, which remembers what this run has solved:
 a run never solves the same LP twice.  An adopted probe's LP is the next
@@ -31,12 +35,13 @@ guidance LP, a repeated shutdown phase repeats its predecessor's solves, and
 a repair round opens on the pinned LP the previous phase closed on; all of
 these are memo hits.
 
-Ties in the probe argmin are broken link > node > placement, then by
-column, which is lexicographic.  All randomness comes from one seeded
-generator, so runs are bit-reproducible.  Each phase emits one JSON
-telemetry line through the ``optiloop.loop`` logger; its ``lp_solves``
-counts the solves performed, so a phase whose LPs were all solved before
-reports 0.  A broken loop invariant raises ``InvariantBroken``.
+Probes with equal relaxed values run in column order (a stable sort).  All
+randomness comes from one seeded generator, so runs are bit-reproducible.
+Each phase emits one JSON telemetry line through the ``optiloop.loop``
+logger; its ``lp_solves`` counts the solves performed, so a phase whose LPs
+were all solved before reports 0, and a shutdown phase's ``rejected`` lists
+the powered elements it probed and left on.  A broken loop invariant raises
+``InvariantBroken``.
 """
 
 import json
@@ -87,34 +92,20 @@ class LoopState:
         return sum(self.lp_solves.values())
 
 
-def _guidance(p, placements="pin"):
+def _guidance(p):
     """Copy of the problem with tiny tie-breaking costs on binary columns.
 
     Relaxed binaries with no energy cost of their own (links always, and
     placements when instance power is zero) otherwise float anywhere
     between their utilization and 1 at an optimal vertex, making the
-    relaxed values useless as guidance.  Link and node variables always get
-    a positive epsilon, pinning them to the lowest value the flows admit
-    (their utilization).
-
-    Placement variables are steered per caller:
-
-    * ``pin``: positive epsilon, value settles at utilization.  The repair
-      procedure samples new deployments proportionally to these, so the
-      per-pair demand signal matters.
-    * ``ceil``: negative (and much smaller) epsilon, value rides up to its
-      hosting node's.  The shutdown procedure compares placements against
-      links and nodes with a strict argmin; utilization-valued placements
-      on large nodes would always win that comparison and get stripped one
-      by one, trading nothing (they cost no power) for degraded routing.
-      At the ceiling they never undercut their own node, and instances are
-      reclaimed when their node is.
+    relaxed values useless as guidance.  A positive epsilon on every
+    binary pins each one to the lowest value the flows admit (its
+    utilization): repair samples new deployments proportionally to these,
+    and shutdown probes its candidates in their order.
     """
     eps = 1e-6 * (1.0 + float(np.max(np.abs(p.objective), initial=0.0)))
     objective = p.objective.copy()
-    objective[p.layout["x"]] += eps
-    objective[p.layout["y"]] += eps
-    objective[p.layout["delta"]] += eps if placements == "pin" else -eps / 100.0
+    objective[: p.n_binaries()] += eps
     return replace(p, objective=objective)
 
 
@@ -146,6 +137,12 @@ _ELEMENT = {"x": "link", "y": "node", "delta": "placement"}
 def _key(ref):
     """Configuration key of a binary column: a node's id, else the index."""
     return ref.index[0] if ref.kind == "y" else ref.index
+
+
+def _element(p, col):
+    """(element kind, configuration key) of binary column ``col`` of ``p``."""
+    ref = p.variables[col]
+    return _ELEMENT[ref.kind], _key(ref)
 
 
 def _binaries(p, x, y, delta):
@@ -258,7 +255,7 @@ def start_loop(s, seed):
     return state
 
 
-def _emit(state, phase, energy_before, activated, deactivated, solves=None):
+def _emit(state, phase, energy_before, activated, deactivated, solves=None, rejected=()):
     energy = energy_of(state.scenario, state.current).total
     record = {
         "phase": phase,
@@ -266,6 +263,7 @@ def _emit(state, phase, energy_before, activated, deactivated, solves=None):
         "lp_solves": state.lp_solves.get(phase, 0) if solves is None else solves,
         "activated": [list(map(str, a)) for a in activated],
         "deactivated": [list(map(str, d)) for d in deactivated],
+        "rejected": [list(map(str, r)) for r in rejected],
         "energy_before": energy_before,
         "energy_after": energy,
     }
@@ -350,35 +348,14 @@ def fix_problems(state):
 # save_energy
 
 
-def _probe_column(p, active, guide):
-    """The column among ``active`` with the smallest value in ``guide``.
-
-    Each binary kind is scanned in column order, a later value replacing
-    the kind's best only when more than 1e-15 below it.  The kinds' bests
-    then compare strictly, ties going to the lower column: link > node >
-    placement.
-    """
-    bests = []
-    for kind in lp.BINARY_KINDS:
-        cols = p.layout[kind]
-        top = None
-        for col in active[(active >= cols.start) & (active < cols.stop)].tolist():
-            v = guide.values[p.variables[col]]
-            if top is None or v < top[0] - 1e-15:
-                top = (v, col)
-        bests += [top] if top else []
-    return min(bests)[1]
-
-
 def _shutdown_problem(p, b):
-    """Active binaries relaxed, inactive ones pinned at 0, placements steered
-    to the ceiling."""
-    relaxed = _assignment_problem(p, b, relax={"x": 1, "y": 1, "delta": 1})
-    return _guidance(relaxed, placements="ceil")
+    """Active binaries relaxed, inactive ones pinned at 0."""
+    return _guidance(_assignment_problem(p, b, relax={"x": 1, "y": 1, "delta": 1}))
 
 
 def save_energy(state):
-    """Deactivate elements one probe at a time until a probe fails."""
+    """Deactivate powered elements one probe at a time until every powered
+    element still on has been probed and rejected."""
     s = state.scenario
     p0 = state.base_problem
     cfg = state.current
@@ -387,11 +364,13 @@ def save_energy(state):
     energy_before = energy_of(s, cfg).total
     deactivated = []
     solves_at_entry = state.lp_solves.get("save_energy", 0)
-    guard = int(b.sum()) + 2
+    # Only a binary with fixed power can lower the energy by going off; links
+    # and unpowered placements go off with their nodes (``_switch``).
+    powered = p0.objective[: p0.n_binaries()] > 0.0
 
-    for _ in range(guard):
-        active = np.flatnonzero(b)
-        if not active.size:
+    while True:
+        candidates = np.flatnonzero(powered & (b == 1))
+        if not candidates.size:
             break
 
         guide = _solve(state, "save_energy", _shutdown_problem(p0, b))
@@ -399,15 +378,19 @@ def save_energy(state):
             raise InvariantBroken(
                 f"shutdown guidance LP is {guide.status} at a feasible operating point"
             )
+        relaxed = [guide.values[p0.variables[col]] for col in candidates.tolist()]
+        candidates = candidates[np.argsort(relaxed, kind="stable")]
 
-        col = _probe_column(p0, active, guide)
-        after = b.copy()
-        _switch(after, col, 0, gates)
-        probe = _solve(state, "save_energy", _shutdown_problem(p0, after))
-        if not probe.is_feasible:
-            break
+        for col in candidates.tolist():
+            after = b.copy()
+            _switch(after, col, 0, gates)
+            probe = _solve(state, "save_energy", _shutdown_problem(p0, after))
+            if probe.is_feasible:
+                break
+        else:
+            break  # every candidate rejected
 
-        kind, target = _ELEMENT[p0.variables[col].kind], _key(p0.variables[col])
+        kind, target = _element(p0, col)
         state.current = _configuration(p0, after, probe)
         # Holding flows at the probe's solution, removing an element can only
         # drop nonnegative terms from the energy sum.
@@ -436,6 +419,7 @@ def save_energy(state):
         [],
         deactivated,
         solves=state.lp_solves.get("save_energy", 0) - solves_at_entry,
+        rejected=[_element(p0, col) for col in candidates.tolist()],
     )
     return state
 

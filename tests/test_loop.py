@@ -326,14 +326,14 @@ def test_zero_demand_drains_to_zero_energy():
 
 def _shutdown_guidance(p, x, y, delta):
     """The shutdown guidance problem as the procedure documents it: active
-    binaries relaxed, the rest pinned at 0, placements steered to the ceiling."""
+    binaries relaxed, the rest pinned at 0."""
     modes = {}
     for ref in p.variables:
         on = {"x": x, "y": y, "delta": delta}.get(ref.kind)
         if on is not None:
             key = ref.index[0] if ref.kind == "y" else ref.index
             modes[ref] = lp.RELAXED if on.get(key, 0) == 1 else lp.fixed(0)
-    return _guidance(lp._with_modes(p, modes), placements="ceil")
+    return _guidance(lp._with_modes(p, modes))
 
 
 def test_accepted_probe_is_next_guidance_problem(monkeypatch):
@@ -391,10 +391,14 @@ def test_repeated_shutdown_phase_is_skipped():
         assert state.telemetry[-1]["lp_solves"] == 0
         assert state.telemetry[-1]["deactivated"] == []
         assert state.current is cfg
-        # Running the phase for real from the same start rejects again.
+        # Running the phase for real from the same start solves the guide
+        # and rejects every powered element still on again.
+        p0 = state.base_problem
+        b = _binaries(p0, cfg.x, cfg.y, cfg.delta)
+        powered_on = int(((p0.objective[: p0.n_binaries()] > 0.0) & (b == 1)).sum())
         state.memo.clear()
         save_energy(state)
-        assert state.lp_solves["save_energy"] == solves + 2
+        assert state.lp_solves["save_energy"] == solves + 1 + powered_on
         assert (state.current.x, state.current.y, state.current.delta) == (
             cfg.x, cfg.y, cfg.delta)
         skipped += 1
@@ -516,6 +520,63 @@ def test_energy_never_increases_with_flows_held(vepc):
     state = start_loop(vepc, seed=0)
     save_energy(state)  # the in-procedure check raises InvariantBroken otherwise
     assert validate_configuration(vepc, state.current, tol=1e-6) == []
+
+
+def test_shutdown_probes_only_powered_binaries(monkeypatch):
+    """Links and unpowered placements are never probed on their own: they
+    draw no fixed power, so switching one off cannot lower the energy."""
+    probed = []
+    real_switch = loop._switch
+
+    def spy_switch(b, col, value, gates):
+        if value == 0:
+            probed.append(col)
+        real_switch(b, col, value, gates)
+
+    monkeypatch.setattr(loop, "_switch", spy_switch)
+    for seed in range(12):
+        state = start_loop(make_toy(seed), seed=0)
+        probed.clear()
+        save_energy(state)
+        assert probed, f"toy {seed} probed nothing"
+        objective = state.base_problem.objective
+        assert all(objective[col] > 0.0 for col in probed), f"toy {seed}"
+
+
+def test_no_shutdown_phase_raises_the_energy():
+    checked = 0
+    for toy in range(30):
+        s = make_toy(toy)
+        tripled = scale_demand(s, 3.0)
+        for seed in (0, 1):
+            try:
+                state = run_loop(
+                    s, seed=seed, rounds=3,
+                    scenario_hook=lambda r, st, tripled=tripled: tripled if r == 1 else None,
+                )
+            except InstanceInfeasible:
+                continue  # repair ran out of elements at x3.0
+            for rec in state.telemetry:
+                if rec["phase"] != "save_energy":
+                    continue
+                before, after = rec["energy_before"], rec["energy_after"]
+                assert after <= before * (1.0 + 1e-9), (toy, seed, rec["round"], before, after)
+                checked += 1
+    assert checked >= 150
+
+
+def test_rejected_lists_powered_elements_left_on():
+    for seed in range(8):
+        state = run_loop(make_toy(seed), seed=0, rounds=1)
+        p0, cfg = state.base_problem, state.current
+        b = _binaries(p0, cfg.x, cfg.y, cfg.delta)
+        left_on = np.flatnonzero((p0.objective[: p0.n_binaries()] > 0.0) & (b == 1))
+        expected = [list(map(str, loop._element(p0, col))) for col in left_on.tolist()]
+        shutdown = state.telemetry[-1]
+        assert shutdown["phase"] == "save_energy"
+        assert expected, f"toy {seed} left no powered element on"
+        assert sorted(shutdown["rejected"]) == sorted(expected)
+        assert all(rec["rejected"] == [] for rec in state.telemetry[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,19 @@ def test_cli_log_verbosity_env(tmp_path):
     assert '"phase": "save_energy"' in res.stderr  # telemetry surfaces at INFO
 
 
+def test_cli_unknown_log_level_exits_2(tmp_path):
+    out = tmp_path / "x.csv"
+    res = subprocess.run(
+        [sys.executable, "-m", "optiloop.cli", "run", "--generate", "--gen-endpoints", "1",
+         "--gen-nodes", "3", "--strategies", "all_active", "--out", str(out)],
+        capture_output=True, text=True, env=_env(OPTILOOP_LOG="LOUD"),
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1].startswith("optiloop: error: OPTILOOP_LOG=")
+    assert not out.exists()  # rejected before any strategy ran
+
+
 def test_cli_timings_column_opt_in(tmp_path):
     scen = tmp_path / "fixture.json"
     save_scenario(vepc_two_node(), scen)

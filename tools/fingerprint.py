@@ -1,6 +1,7 @@
 """Fingerprint of the control loop's and the baselines' decisions.
 
     python3 tools/fingerprint.py <checkout>
+    python3 tools/fingerprint.py <parent> <change>
 
 Imports optiloop from ``<checkout>/src`` and the toy instances from
 ``<checkout>/tests/corpus.py``, runs a fixed set of cases, and prints a
@@ -8,6 +9,15 @@ SHA-256 over their decisions followed by the total number of LP solves the
 control loop made.  Two checkouts decide identically when the hashes match.
 The hash leaves out every ``lp_solves`` count, so a change that only saves
 solves keeps the hash and shows on the second line.
+
+Given two checkouts, it compares their decisions by energy instead: each
+checkout runs the toy runs and the 2x4 strategies below in its own
+subprocess (``fingerprint.py --cases <checkout>``, which prints each case's
+outcome, final energy and loop LP solves as JSON).  It prints both sides'
+loop LP solves over those cases; how many of the cases both complete end
+lower, higher (by more than a relative 1e-9) or equal in energy on the
+change, with the median, min and max change/parent ratio; each higher case;
+and each case whose outcome (completed, or the error type raised) differs.
 
 The cases:
 
@@ -42,6 +52,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
+import math
+import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -70,22 +84,13 @@ def _without_solves(record):
     return repr(sorted((k, v) for k, v in record.items() if k != "lp_solves"))
 
 
-def fingerprint():
-    """Decisions hash, loop solve total and per-phase split of the toy runs,
-    the ladder strategies and the CLI sweep."""
+def _toy_runs():
+    """(toy, loop seed, factor, state, error) of every toy run; ``error`` is
+    the optiloop error the run raised, else None."""
     from corpus import make_toy
-    from optiloop import cli
-    from optiloop.baselines import all_active, consolidation, optiloop_strategy
     from optiloop.errors import OptiloopError
     from optiloop.loop import run_loop
-    from optiloop.scenario import GeneratorParams, generate, scale_demand
-
-    digest = hashlib.sha256()
-    solves = 0
-    by_phase = dict.fromkeys(PHASES, 0)
-
-    def feed(*parts):
-        digest.update(("\t".join(map(str, parts)) + "\n").encode())
+    from optiloop.scenario import scale_demand
 
     for toy in TOY_SEEDS:
         s = make_toy(toy)
@@ -97,28 +102,53 @@ def fingerprint():
                     seen.append(state)
                     return scale_demand(s, factor) if factor and r == 1 else None
 
-                feed("loop", toy, seed, factor)
                 try:
                     run_loop(s, seed, ROUNDS, scenario_hook=hook)
-                    outcome = _config(seen[0].current)
+                    error = None
                 except OptiloopError as exc:
-                    outcome = f"{type(exc).__name__}: {exc}"
-                state = seen[0]
-                solves += state.total_solves()
-                for phase, n in state.lp_solves.items():
-                    by_phase[phase] += n
-                feed(outcome, state.activations, state.deactivations)
-                for record in state.telemetry:
-                    feed(_without_solves(record))
+                    error = exc
+                yield toy, seed, factor, seen[0], error
+
+
+def _ladder_runs():
+    """(generator seed, result) of each strategy on the generated 2x4 instances."""
+    from optiloop.baselines import all_active, consolidation, optiloop_strategy
+    from optiloop.scenario import GeneratorParams, generate
 
     for gen_seed in LADDER_SEEDS:
         s = generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=gen_seed))
         for result in (optiloop_strategy(s, seed=0, rounds=ROUNDS), all_active(s),
                        consolidation(s)):  # fmt: skip
-            if result.name == "optiloop":
-                solves += result.stats["lp_solves"]
-            feed("strategy", gen_seed, result.name, _config(result.configuration),
-                 repr(result.energy), _without_solves(result.stats))  # fmt: skip
+            yield gen_seed, result
+
+
+def fingerprint():
+    """Decisions hash, loop solve total and per-phase split of the toy runs,
+    the ladder strategies and the CLI sweep."""
+    from optiloop import cli
+
+    digest = hashlib.sha256()
+    solves = 0
+    by_phase = dict.fromkeys(PHASES, 0)
+
+    def feed(*parts):
+        digest.update(("\t".join(map(str, parts)) + "\n").encode())
+
+    for toy, seed, factor, state, error in _toy_runs():
+        feed("loop", toy, seed, factor)
+        outcome = _config(state.current) if error is None else f"{type(error).__name__}: {error}"
+        solves += state.total_solves()
+        for phase, n in state.lp_solves.items():
+            by_phase[phase] += n
+        feed(outcome, state.activations, state.deactivations)
+        for record in state.telemetry:
+            feed(_without_solves(record))
+
+    for gen_seed, result in _ladder_runs():
+        if result.name == "optiloop":
+            solves += result.stats["lp_solves"]
+        feed("strategy", gen_seed, result.name, _config(result.configuration),
+             repr(result.energy), _without_solves(result.stats))  # fmt: skip
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
@@ -131,6 +161,23 @@ def fingerprint():
             solves += int(row["lp_solves"])
         feed(_without_solves(row))
     return digest.hexdigest(), solves, by_phase
+
+
+def cases():
+    """{case: [outcome, final energy, loop LP solves]} over the toy runs and
+    the ladder strategies; a run that raised has the error type as its
+    outcome and no energy."""
+    from optiloop.model import energy_of
+
+    found = {}
+    for toy, seed, factor, state, error in _toy_runs():
+        energy = energy_of(state.scenario, state.current).total if error is None else None
+        outcome = "ok" if error is None else type(error).__name__
+        found[f"toy {toy} seed {seed} x{factor}"] = [outcome, energy, state.total_solves()]
+    for gen_seed, result in _ladder_runs():
+        solves = result.stats["lp_solves"] if result.name == "optiloop" else 0
+        found[f"2x4 gen {gen_seed} {result.name}"] = ["ok", result.energy.total, solves]
+    return found
 
 
 def iis_fingerprint():
@@ -172,12 +219,57 @@ def _count_iterations():
     return total
 
 
+def _run_cases(root):
+    """The ``cases`` of the checkout at ``root``, run in a subprocess."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--cases", str(root)]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def compare(parent, change):
+    """Lines comparing the ``cases`` of two checkouts by final energy."""
+    before, after = _run_cases(parent), _run_cases(change)
+    lines = [
+        "loop LP solves over the toy runs and 2x4 strategies: "
+        f"parent {sum(c[2] for c in before.values())}, "
+        f"change {sum(c[2] for c in after.values())}"
+    ]
+    ratios, higher = [], []
+    for case, (outcome, energy, _) in before.items():
+        new_outcome, new_energy, _ = after[case]
+        if outcome != new_outcome:
+            lines.append(f"outcome differs: {case}: {outcome} -> {new_outcome}")
+        elif energy is not None:
+            ratio = new_energy / energy if energy else (1.0 if new_energy == 0 else math.inf)
+            ratios.append(ratio)
+            if ratio > 1.0 + 1e-9:
+                higher.append(f"higher: {case}: {energy:.6g} -> {new_energy:.6g} W "
+                              f"({100 * (ratio - 1):+.2f} %)")  # fmt: skip
+    lower = sum(r < 1.0 - 1e-9 for r in ratios)
+    lines.append(
+        f"final energy, change/parent, over the {len(ratios)} cases both complete: "
+        f"{lower} lower, {len(higher)} higher, {len(ratios) - lower - len(higher)} equal; "
+        f"median {statistics.median(ratios):.4f}, min {min(ratios):.4f}, max {max(ratios):.4f}"
+    )
+    return lines + higher
+
+
+def _use_checkout(root):
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+
+
 def main(argv):
+    if len(argv) == 2 and argv[0] == "--cases":
+        _use_checkout(Path(argv[1]).resolve())
+        print(json.dumps(cases()))
+        return 0
+    if len(argv) == 2:
+        print("\n".join(compare(*(Path(arg).resolve() for arg in argv))))
+        return 0
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    root = Path(argv[0]).resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    _use_checkout(Path(argv[0]).resolve())
 
     iterations = _count_iterations()
     digest, solves, by_phase = fingerprint()
