@@ -463,19 +463,25 @@ def _assemble(p):
         )
     local = np.where(free, np.cumsum(free) - 1, -1).tolist()  # column -> free column
     pins = p.pins.tolist()
-    A = np.zeros((n_rows, n_free))
-    rhs = np.zeros(n_rows)
-    senses = []
+    # Free terms and pinned-column folds, in row and term order; the
+    # unbuffered scatters below apply them in that order, as a walk would.
+    rows, cols, coefs = [], [], []
+    fold_rows, folds = [], []
     for r, con in enumerate(p.constraints):
-        b = con.rhs
         for pos, coef in con.terms:
             j = local[pos]
             if j >= 0:
-                A[r, j] += coef
+                rows.append(r)
+                cols.append(j)
+                coefs.append(coef)
             else:
-                b -= coef * pins[pos]
-        rhs[r] = b
-        senses.append(con.sense)
+                fold_rows.append(r)
+                folds.append(coef * pins[pos])
+    A = np.zeros((n_rows, n_free))
+    np.add.at(A, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), coefs)
+    rhs = np.array([con.rhs for con in p.constraints], dtype=float)
+    np.subtract.at(rhs, np.array(fold_rows, dtype=np.intp), folds)
+    senses = [con.sense for con in p.constraints]
     orig = np.arange(n_rows)
     senses_arr = np.array(senses)
     nonzero = (A != 0.0).any(axis=1)
