@@ -230,14 +230,22 @@ def initial_solution(s):
     return _all_on_configuration(lp.build_problem(s), lp.solve)
 
 
-def _solve(state, phase, p):
+def _solve(state, phase, p, start=None):
     """Solution of ``p``, solved and counted for ``phase`` only the first
-    time this run meets that LP."""
+    time this run meets that LP.
+
+    A fresh solve passes ``start`` on to ``lp.solve``, which restarts from
+    its frame when ``p`` allows, and returns the solution with its own
+    frame.  The memo keeps every solution without its frame, so a stored
+    solution pins no tableau and a memo hit has no frame.
+    """
     key = (id(p.constraints), p.pins.tobytes(), p.objective.tobytes())
-    if key not in state.memo:
-        state.memo[key] = (p, lp.solve(p))
-        state.count_solves(phase)
-    return state.memo[key][1]
+    if key in state.memo:
+        return state.memo[key][1]
+    sol = lp.solve(p, start=start)
+    state.memo[key] = (p, replace(sol, frame=None))
+    state.count_solves(phase)
+    return sol
 
 
 def start_loop(s, seed):
@@ -367,6 +375,7 @@ def save_energy(state):
     # Only a binary with fixed power can lower the energy by going off; links
     # and unpowered placements go off with their nodes (``_switch``).
     powered = p0.objective[: p0.n_binaries()] > 0.0
+    start = None  # a solution of the current guide's LP that holds a frame
 
     while True:
         candidates = np.flatnonzero(powered & (b == 1))
@@ -378,13 +387,15 @@ def save_energy(state):
             raise InvariantBroken(
                 f"shutdown guidance LP is {guide.status} at a feasible operating point"
             )
+        if guide.frame is not None:
+            start = guide
         relaxed = [guide.values[p0.variables[col]] for col in candidates.tolist()]
         candidates = candidates[np.argsort(relaxed, kind="stable")]
 
         for col in candidates.tolist():
             after = b.copy()
             _switch(after, col, 0, gates)
-            probe = _solve(state, "save_energy", _shutdown_problem(p0, after))
+            probe = _solve(state, "save_energy", _shutdown_problem(p0, after), start)
             if probe.is_feasible:
                 break
         else:
@@ -404,6 +415,7 @@ def save_energy(state):
         deactivated.append((kind, target))
         state.deactivations += 1
         b = after
+        start = probe  # its LP is the next guide's
 
     if deactivated:
         # The probe's flows optimize a partially relaxed problem; the enacted

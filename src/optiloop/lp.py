@@ -134,6 +134,9 @@ class LpSolution:
     iterations: int = 0
     max_residual: float = 0.0
     row_duals: np.ndarray = None
+    # Optimal solutions only: the block solved and its final tableau, which
+    # ``solve(q, start=...)`` restarts from.
+    frame: "_Frame" = None
 
     @property
     def is_feasible(self):
@@ -504,16 +507,68 @@ def _assemble(p):
     return A, rhs, senses, c_free, offset, free, orig
 
 
-def solve(p, feasibility_only=False):
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The block an optimal solve ran on, as ``_assemble`` returned it with
+    the rhs actually solved, plus the problem's constraints, objective and
+    pins and the solve's final tableau.  A binary that ``pins`` holds at 0
+    may still be a free column here, with a bound row of rhs 0."""
+
+    constraints: tuple
+    objective: np.ndarray
+    pins: np.ndarray
+    A: np.ndarray
+    rhs: np.ndarray
+    senses: list
+    c_free: np.ndarray
+    offset: float
+    free: np.ndarray
+    orig: np.ndarray
+    tableau: object
+
+
+def _restart_rhs(p, f):
+    """The rhs that poses ``p`` in frame ``f``, or None when ``p`` is not
+    ``f``'s LP with some of the binaries ``f.pins`` relaxes pinned to 0."""
+    if p.constraints is not f.constraints or not np.array_equal(p.objective, f.objective):
+        return None
+    newly = (f.pins < 0) & (p.pins == 0)
+    if not np.array_equal(p.pins[~newly], f.pins[~newly]):
+        return None
+    # The bound rows follow the kept rows, one per free binary in order.
+    bound_row = f.orig.size + np.cumsum(f.free[: f.pins.size]) - 1
+    rhs = f.rhs.copy()
+    rhs[bound_row[newly]] = 0.0
+    return rhs
+
+
+def solve(p, feasibility_only=False, start=None):
     """Run the built-in simplex on the problem.
 
     Returns an LpSolution; ``feasibility_only`` skips the optimization phase
     and reports the first feasible point found (used heavily by the IIS
     filter).  Raises SolverStall if the pivot budget runs out.
+
+    ``start`` is an earlier solution.  When it is optimal and ``p`` is its
+    LP (same ``constraints`` object, equal objective) with some binaries it
+    relaxed pinned to 0, ``p`` is posed in ``start``'s block instead of
+    being assembled: the same matrix, costs and senses, with the bound rows
+    of the newly pinned columns at rhs 0.  The simplex then restarts from
+    ``start``'s final tableau (``simplex`` module, Restarts).  In every
+    other case, and for ``feasibility_only``, the solve runs cold.
     """
-    A, rhs, senses, c_free, offset, free, orig = _assemble(p)
+    f = start.frame if start is not None and not feasibility_only else None
+    rhs = None if f is None else _restart_rhs(p, f)
+    if rhs is None:
+        A, rhs, senses, c_free, offset, free, orig = _assemble(p)
+        tableau = None
+    else:
+        A, senses, c_free, offset, free, orig = f.A, f.senses, f.c_free, f.offset, f.free, f.orig
+        tableau = f.tableau
     n_rows = len(p.constraints)
-    res = solve_dense(c_free, A, rhs, senses, feasibility_only=feasibility_only)
+    res = solve_dense(
+        c_free, A, rhs, senses, feasibility_only=feasibility_only, start=tableau
+    )
 
     def scatter_duals():
         if res.row_duals is None:
@@ -529,17 +584,26 @@ def solve(p, feasibility_only=False):
         return LpSolution("unbounded", {}, -math.inf, res.iterations, 0.0, None)
 
     full = np.zeros(p.n_vars())
-    full[: p.pins.size] = p.pins
     full[free] = res.x
-    full[p.n_binaries() :] *= p.traffic_scale  # the flows
+    # Pinned binaries read their pins, also those the block keeps free.
+    nb = p.n_binaries()
+    full[:nb] = np.where(p.pins < 0, full[:nb], p.pins)
+    full[nb:] *= p.traffic_scale  # the flows
     values = dict(zip(p.variables, full.tolist()))
     resid = 0.0
     if A.shape[0]:
         gap = A @ res.x - rhs
         viol = np.where(np.array(senses) == "eq", np.abs(gap), np.maximum(gap, 0.0))
         resid = float(viol.max())
+    frame = None
+    if res.tableau is not None:
+        frame = _Frame(
+            p.constraints, p.objective, p.pins, A, rhs, senses, c_free, offset, free,
+            orig, res.tableau,
+        )
     return LpSolution(
-        "optimal", values, res.objective + offset, res.iterations, resid, scatter_duals()
+        "optimal", values, res.objective + offset, res.iterations, resid,
+        scatter_duals(), frame,
     )
 
 

@@ -41,11 +41,33 @@ artificial basic column ``b`` and ``b + ncols`` for any other orders the
 candidates exactly that way without a tie, and one ``argmin`` over it picks
 the same row.  Under Bland's rule the lowest basic column index leaves.
 
-The scale of the problems this package builds is a few hundred rows, so a
-dense tableau beats anything cleverer.
+Restarts.  An optimal result carries its final tableau (``tableau``).  A
+solve of the same ``c``, ``A`` and senses with another ``b`` may pass it as
+``start``: the row scales and flips stay those of the start, so the new
+right-hand side moves the tableau's rhs column by B⁻¹Δb, where column k of
+B⁻¹ is the final tableau's column of row k's initial unit vector (the slack
+of an unflipped ``le`` row, else the artificial).  The reduced costs do not
+move, so the basis stays dual feasible, and a dual simplex on the phase-two
+row restores primal feasibility (Lemke, "The dual method of solving the
+linear programming problem", Naval Res. Logist. Q. 1954).  Basic
+artificials are bounded at 0 from both sides.  The most violated row
+leaves; the entering column is the one of minimum ratio of reduced cost to
+pivot entry, within the same tolerance band as above, with ties going to
+the lowest index; after a stall the lowest basic column index leaves
+instead.  When no column can enter, the leaving row's entries in the unit
+columns are a Farkas ray and the problem is infeasible.  A restart checks
+its own answer inside the same call: an optimum must satisfy the
+equilibrated rows within ``FEAS_TOL``, and a ray must prove infeasibility
+by more than ``FEAS_TOL``; otherwise the cold two-phase solve runs on the
+same input.  ``iterations`` then counts both.  A cold solve pivots as if no
+restart existed.
+
+The scale of the problems this package builds is a few hundred rows.  At
+that scale a dense tableau is fast to pivot, and keeping it whole is what
+makes the restart above a copy and a matrix-vector product.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +87,33 @@ class SimplexResult:
     row_duals: np.ndarray  # one per input row (unscaled); Farkas rays when infeasible
     phase1_objective: float
     iterations: int
+    tableau: "_Tableau" = None  # optimal results only; see Restarts
+
+
+@dataclass(frozen=True, eq=False)
+class _Tableau:
+    """Final tableau of an optimal solve, in the equilibrated, flipped frame
+    of its rows.  ``D[:m, unit]`` is B⁻¹: ``unit[k]`` is the column of row
+    k's initial unit vector.  ``rhs`` is the right-hand side the initial
+    tableau held.  Shared read-only: a restart copies ``D`` and ``basis``."""
+
+    D: np.ndarray
+    basis: np.ndarray
+    unit: np.ndarray
+    art_rows: np.ndarray
+    scale: np.ndarray
+    flip: np.ndarray
+    rhs: np.ndarray
+    n_real: int
+
+
+def _duals(t, zrow, art_cost):
+    """Row duals read off objective row ``zrow``: each row's unit column
+    costs ``art_cost`` if artificial, else 0, minus its reduced cost; then
+    unflipped and unscaled to the input rows."""
+    y = -zrow[t.unit]
+    y[t.art_rows] += art_cost
+    return y * t.flip / t.scale
 
 
 def _pivot_once(D, basis, col, row):
@@ -135,8 +184,109 @@ def _run_phase(D, z, n_enter, basis, is_artificial, maxiter, iters, check_unboun
             raise SolverStall(f"simplex exceeded {maxiter} iterations")
 
 
-def solve_dense(c, A, b, senses, feasibility_only=False):
-    """senses: sequence of 'le' / 'eq' per row."""
+def _dual_phase(D, basis, n_real, maxiter):
+    """Dual simplex on the phase-two row of ``D``, whose reduced costs over
+    the first ``n_real`` columns, those allowed to enter, are nonnegative.
+    Pivots until every basic value lies within its bounds.
+
+    Returns (status, row, iterations): 'optimal', or 'infeasible' with the
+    row that proves it.
+    """
+    m = basis.size
+    rhs = D[:m, -1]
+    z = D[m + 1]
+    rc = z[:n_real]
+    ratios = np.empty(n_real)
+    bland = False
+    stall = 0
+    stall_limit = 10 * (m + 20)
+    best = -z[-1]
+    iters = 0
+    while True:
+        # Basic artificials are bounded at 0 from both sides.
+        viol = np.where(basis >= n_real, np.abs(rhs), -rhs)
+        if bland:
+            cand = (viol > PIVOT_TOL).nonzero()[0]
+            if cand.size == 0:
+                return "optimal", -1, iters
+            row = int(cand[basis[cand].argmin()])
+        else:
+            row = int(viol.argmax())
+            if viol[row] <= PIVOT_TOL:
+                return "optimal", -1, iters
+        # Entries of the sign that moves the basic value towards its bound.
+        alpha = D[row, :n_real] * np.sign(rhs[row])
+        elig = alpha > PIVOT_TOL
+        if not elig.any():
+            return "infeasible", row, iters
+        ratios.fill(np.inf)
+        np.divide(np.maximum(rc, 0.0), alpha, out=ratios, where=elig)
+        best_ratio = ratios.min()
+        col = int((ratios <= best_ratio + PIVOT_TOL * (1.0 + best_ratio)).argmax())
+        _pivot_once(D, basis, col, row)
+        iters += 1
+        obj = -z[-1]
+        if obj > best + 1e-12 * (1.0 + abs(best)):
+            best = obj
+            stall = 0
+        else:
+            stall += 1
+            if stall > stall_limit:
+                bland = True
+        if iters > maxiter:
+            raise SolverStall(f"dual simplex exceeded {maxiter} iterations")
+
+
+def _restart(t, c, A, b, is_le):
+    """Reoptimize the final tableau ``t`` for the equilibrated rows ``A x
+    (<= | =) b``, whose matrix and senses are those ``t`` was solved for.
+
+    Returns (result, iterations); result is None when the answer fails its
+    check against the rows.
+    """
+    D = t.D.copy()
+    basis = t.basis.copy()
+    m, n = A.shape
+    rhs = t.flip * b
+    delta = rhs - t.rhs
+    moved = delta.nonzero()[0]
+    D[:, -1] += D[:, t.unit[moved]] @ delta[moved]
+    ncols = D.shape[1] - 1
+    status, row, iters = _dual_phase(D, basis, t.n_real, 500 + 30 * (m + ncols))
+
+    if status == "optimal":
+        x = np.zeros(ncols)
+        x[basis] = D[:m, -1]
+        x = x[:n]
+        gap = A @ x - b
+        viol = np.where(is_le, np.maximum(gap, 0.0), np.abs(gap))
+        if viol.max() > FEAS_TOL or x.min(initial=0.0) < -FEAS_TOL:
+            return None, iters
+        frame = replace(t, D=D, basis=basis, rhs=rhs)
+        duals = _duals(frame, D[m + 1], 0.0)
+        return SimplexResult("optimal", x, float(c @ x), duals, 0.0, iters, frame), iters
+
+    # Row ``row`` reads u @ (the initial rows) with u = D[row, unit]; signed
+    # so that y @ b > 0, while y @ (every column allowed to enter) <= 0.
+    violation = D[row, -1]
+    y = np.sign(violation) * D[row, t.unit] * t.flip  # over the equilibrated rows
+    tol = FEAS_TOL * max(1.0, float(np.abs(y).max()))
+    if (
+        (y @ A).max(initial=0.0) > tol
+        or y[is_le].max(initial=0.0) > tol
+        or y @ b <= tol
+    ):
+        return None, iters
+    return SimplexResult("infeasible", None, np.inf, y / t.scale, abs(violation), iters), iters
+
+
+def solve_dense(c, A, b, senses, feasibility_only=False, start=None):
+    """senses: sequence of 'le' / 'eq' per row.
+
+    ``start`` is the ``tableau`` of an optimal result for the same ``c``,
+    ``A`` and ``senses``; the solve then restarts from it (see Restarts).
+    A feasibility-only solve always runs cold.
+    """
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -147,13 +297,27 @@ def solve_dense(c, A, b, senses, feasibility_only=False):
         return SimplexResult("optimal", np.zeros(n), 0.0, np.zeros(0), 0.0, 0)
 
     is_le = np.array([s == "le" for s in senses], dtype=bool)
-    le_rows = is_le.nonzero()[0]
 
     # Row equilibration.
     scale = np.abs(A).max(axis=1)
     scale[scale < 1e-12] = 1.0
     A = A / scale[:, None]
     b = b / scale
+
+    if start is None or feasibility_only:
+        return _cold(c, A, b, is_le, scale, feasibility_only)
+    res, spent = _restart(start, c, A, b, is_le)
+    if res is None:
+        res = _cold(c, A, b, is_le, scale, feasibility_only)
+        res.iterations += spent
+    return res
+
+
+def _cold(c, A, b, is_le, scale, feasibility_only):
+    """Two-phase primal simplex on the equilibrated rows ``A x (<= | =) b``;
+    ``scale`` holds the row scales the duals are unscaled by."""
+    m, n = A.shape
+    le_rows = is_le.nonzero()[0]
 
     # Flip rows with negative rhs.  Artificials go where no natural basis
     # column exists: eq rows and flipped le rows (their slack coefficient is
@@ -179,6 +343,13 @@ def solve_dense(c, A, b, senses, feasibility_only=False):
     basis[art_rows] = art_cols
     is_artificial = np.zeros(ncols, dtype=bool)
     is_artificial[n_real:] = True
+    # Every row holds either a slack or an artificial unit column, so the
+    # row's dual is read off that column's reduced cost: the artificial's for
+    # artificial rows, the slack's for the le rows that were not flipped.
+    unit = np.empty(m, dtype=int)
+    unit[le_rows] = slack_cols
+    unit[art_rows] = art_cols
+    frame = _Tableau(D, basis, unit, art_rows, scale, flip, b, n_real)
 
     maxiter = 500 + 30 * (m + ncols)
 
@@ -194,20 +365,8 @@ def solve_dense(c, A, b, senses, feasibility_only=False):
     )
     phase1_obj = -z1[-1]
 
-    # Every row holds either a slack or an artificial unit column, so the
-    # row's dual is read off that column's reduced cost: the artificial's for
-    # artificial rows, the slack's for the le rows that were not flipped.
-    plain_le = le_rows[~neg[le_rows]]
-    plain_slack = slack_cols[~neg[le_rows]]
-
-    def recover_duals(zrow, art_cost):
-        y = np.zeros(m)
-        y[art_rows] = art_cost - zrow[art_cols]
-        y[plain_le] = -zrow[plain_slack]
-        return y * flip / scale
-
     if phase1_obj > FEAS_TOL:
-        duals = recover_duals(z1, 1.0)
+        duals = _duals(frame, z1, 1.0)
         return SimplexResult("infeasible", None, np.inf, duals, phase1_obj, iters)
 
     if feasibility_only:
@@ -232,5 +391,7 @@ def solve_dense(c, A, b, senses, feasibility_only=False):
 
     x = np.zeros(ncols)
     x[basis] = D[:m, -1]
-    duals = recover_duals(z2, 0.0)
-    return SimplexResult("optimal", x[:n], float(c @ x[:n]), duals, phase1_obj, iters)
+    duals = _duals(frame, z2, 0.0)
+    return SimplexResult(
+        "optimal", x[:n], float(c @ x[:n]), duals, phase1_obj, iters, frame
+    )

@@ -12,7 +12,7 @@ from conftest import single_vnf_scenario
 from corpus import make_toy
 from optiloop import loop, lp
 from optiloop.errors import InstanceInfeasible, InvariantBroken, RepairDiverged
-from optiloop.iis import IisReport
+from optiloop.iis import IisReport, _feasible
 from optiloop.loop import (
     LoopState,
     _assignment_modes,
@@ -454,6 +454,44 @@ def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):
     )
     with pytest.raises(InvariantBroken):
         save_energy(state)
+
+
+def test_restarted_probes_agree_with_cold_solves(monkeypatch):
+    restarts = {"optimal": 0, "infeasible": 0}
+    real_solve = lp.solve
+
+    def spy_solve(p, *args, start=None, **kwargs):
+        sol = real_solve(p, *args, start=start, **kwargs)
+        frame = None if start is None else start.frame
+        if frame is None or lp._restart_rhs(p, frame) is None:
+            return sol
+        cold = real_solve(p, *args, **kwargs)
+        assert sol.status == cold.status
+        if cold.is_feasible:
+            assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+            assert sol.max_residual <= 1e-9
+        else:
+            support = np.flatnonzero(np.abs(sol.row_duals) > 1e-9).tolist()
+            assert support and not _feasible(p, support)
+        restarts[sol.status] += 1
+        return sol
+
+    monkeypatch.setattr(lp, "solve", spy_solve)
+    for toy in range(12):
+        s = make_toy(toy)
+        for seed in (0, 1):
+            for factor in (None, 3.0):
+                states = []
+
+                def hook(r, state, s=s, factor=factor):
+                    states.append(state)
+                    return scale_demand(s, factor) if factor and r == 1 else None
+
+                with contextlib.suppress(InstanceInfeasible):
+                    run_loop(s, seed=seed, rounds=3, scenario_hook=hook)
+                # The memo keeps no tableau alive.
+                assert all(sol.frame is None for _, sol in states[0].memo.values())
+    assert restarts["optimal"] >= 60 and restarts["infeasible"] >= 120, restarts
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """The built-in solver against hand cases, an independent reference and a
 frozen copy of its earlier kernel (``reference_simplex``)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import reference_simplex
 from corpus import make_capacity_starved, make_compute_starved, make_toy
-from optiloop import lp
+from optiloop import lp, simplex
 from optiloop.errors import SolverStall
 from optiloop.loop import _all_on, _assignment_modes
 from optiloop.simplex import _pivot_once, solve_dense
@@ -286,3 +290,99 @@ def test_matches_frozen_reference_bit_for_bit_on_toy_lps(seed):
         _assert_same_result(solve_dense(c, A, rhs, senses), want)
         statuses.add(want.status)
     assert statuses == {"optimal", "infeasible"}
+
+
+# ---------------------------------------------------------------------------
+# Restarts from a final tableau
+
+
+@st.composite
+def _box_lps(draw):
+    """A small LP over columns bounded by 'le' rows ``x_j <= 1`` (the last
+    ``n`` rows), and the rhs with some of those bounds lowered to 0."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    ints = st.integers(-3, 3)
+    A = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(st.integers(-2, 4), min_size=m, max_size=m)), dtype=float)
+    c = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
+    senses = draw(st.lists(st.sampled_from(["le", "le", "eq"]), min_size=m, max_size=m))
+    lowered = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    A = np.vstack([A, np.eye(n)])
+    b = np.concatenate([b, np.ones(n)])
+    b_lowered = np.concatenate([b[:m], np.where(lowered, 0.0, 1.0)])
+    return c, A, b, b_lowered, senses + ["le"] * n
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(lp_pair=_box_lps())
+def test_restart_agrees_with_cold_solve(lp_pair):
+    c, A, b, b_lowered, senses = lp_pair
+    start = solve_dense(c, A, b, senses)
+    if start.status != "optimal":
+        return
+    got = solve_dense(c, A, b_lowered, senses, start=start.tableau)
+    want = solve_dense(c, A, b_lowered, senses)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+        assert got.tableau is not None
+
+
+def test_restart_from_a_corrupted_tableau_runs_the_cold_solve(monkeypatch):
+    p = lp.build_problem(make_toy(0))
+    A, rhs, senses, c, _offset, _free, _orig = lp._assemble(p)
+    start = solve_dense(c, A, rhs, senses)
+    lowered = rhs.copy()
+    lowered[-3:] = 0.0  # the bounds of the last three relaxed binaries
+    corrupted = replace(start.tableau, D=start.tableau.D.copy())
+    corrupted.D[:-2, -1] += 0.5  # a basic point that no longer solves the rows
+    colds = []
+    real_cold = simplex._cold
+
+    def spy_cold(*args):
+        colds.append(args)
+        return real_cold(*args)
+
+    monkeypatch.setattr(simplex, "_cold", spy_cold)
+    got = solve_dense(c, A, lowered, senses, start=corrupted)
+    assert len(colds) == 1
+    want = solve_dense(c, A, lowered, senses)
+    assert got.status == want.status == "optimal"
+    assert got.objective == want.objective
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.row_duals, want.row_duals)
+    assert got.iterations >= want.iterations
+    # The intact tableau restarts without the cold solve.
+    colds.clear()
+    restarted = solve_dense(c, A, lowered, senses, start=start.tableau)
+    assert colds == []
+    assert restarted.objective == pytest.approx(want.objective, rel=1e-9)
+
+
+def test_lp_restarts_only_with_binaries_it_relaxed_pinned_to_0(monkeypatch):
+    starts = []
+    real = lp.solve_dense
+
+    def spy(*args, start=None, **kwargs):
+        starts.append(start)
+        return real(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_dense", spy)
+    p = lp.build_problem(make_toy(1))
+    guide = lp.solve(p)
+    y = p.layout["y"].start
+    cases = {
+        "pinned to 0": (lp.fix(p, p.variables[y], 0), True),
+        "pinned to 1": (lp.fix(p, p.variables[y], 1), False),
+        "other objective": (replace(p, objective=p.objective * 2), False),
+        "feasibility only": (lp.fix(p, p.variables[y], 0), False),
+    }
+    for name, (q, restarts) in cases.items():
+        starts.clear()
+        kwargs = {"feasibility_only": True} if name == "feasibility only" else {}
+        got = lp.solve(q, start=guide, **kwargs)
+        assert (starts[0] is not None) == restarts, name
+        want = lp.solve(q, **kwargs)
+        assert got.status == want.status, name
+        assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9), name
+        assert got.values[p.variables[y]] == want.values[p.variables[y]], name
