@@ -27,7 +27,11 @@ Each round then runs two procedures:
   probe is adopted and the hunt restarts; the phase ends when every such
   element still on has been probed and rejected.  Links and unpowered
   placements draw no fixed power, so switching one off can only lengthen
-  routes; they go off only with their nodes.
+  routes; they go off only with their nodes.  A probe is its guide's LP
+  with some relaxed binaries pinned to 0, which moves only right-hand
+  sides, so it restarts from the guide's final tableau (``lp.solve``'s
+  ``start``).  The phase holds that frame from the guide's own solve, or
+  from the adopted probe, whose LP is the next guide.
 
 Every LP goes through ``_solve``, which remembers what this run has solved:
 a run never solves the same LP twice.  An adopted probe's LP is the next

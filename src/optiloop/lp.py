@@ -509,14 +509,12 @@ def _assemble(p):
 
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """The block an optimal solve ran on, as ``_assemble`` returned it with
-    the rhs actually solved, plus the problem's constraints, objective and
-    pins and the solve's final tableau.  A binary that ``pins`` holds at 0
-    may still be a free column here, with a bound row of rhs 0."""
+    """The block an optimal solve of ``problem`` ran on, as ``_assemble``
+    returned it with the rhs actually solved, and the solve's final tableau.
+    A binary that ``problem`` pins at 0 may still be a free column here,
+    with a bound row of rhs 0."""
 
-    constraints: tuple
-    objective: np.ndarray
-    pins: np.ndarray
+    problem: LpProblem
     A: np.ndarray
     rhs: np.ndarray
     senses: list
@@ -529,14 +527,15 @@ class _Frame:
 
 def _restart_rhs(p, f):
     """The rhs that poses ``p`` in frame ``f``, or None when ``p`` is not
-    ``f``'s LP with some of the binaries ``f.pins`` relaxes pinned to 0."""
-    if p.constraints is not f.constraints or not np.array_equal(p.objective, f.objective):
+    ``f.problem`` with some of the binaries it relaxes pinned to 0."""
+    q = f.problem
+    if p.constraints is not q.constraints or not np.array_equal(p.objective, q.objective):
         return None
-    newly = (f.pins < 0) & (p.pins == 0)
-    if not np.array_equal(p.pins[~newly], f.pins[~newly]):
+    newly = (q.pins < 0) & (p.pins == 0)
+    if not np.array_equal(p.pins[~newly], q.pins[~newly]):
         return None
     # The bound rows follow the kept rows, one per free binary in order.
-    bound_row = f.orig.size + np.cumsum(f.free[: f.pins.size]) - 1
+    bound_row = f.orig.size + np.cumsum(f.free[: q.pins.size]) - 1
     rhs = f.rhs.copy()
     rhs[bound_row[newly]] = 0.0
     return rhs
@@ -597,10 +596,7 @@ def solve(p, feasibility_only=False, start=None):
         resid = float(viol.max())
     frame = None
     if res.tableau is not None:
-        frame = _Frame(
-            p.constraints, p.objective, p.pins, A, rhs, senses, c_free, offset, free,
-            orig, res.tableau,
-        )
+        frame = _Frame(p, A, rhs, senses, c_free, offset, free, orig, res.tableau)
     return LpSolution(
         "optimal", values, res.objective + offset, res.iterations, resid,
         scatter_duals(), frame,

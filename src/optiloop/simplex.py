@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex.
+"""Dense two-phase primal simplex, and a dual-simplex restart.
 
 Solves   min c @ x   s.t.   A x (<= | =) b,   x >= 0
 
@@ -49,12 +49,15 @@ B⁻¹ is the final tableau's column of row k's initial unit vector (the slack
 of an unflipped ``le`` row, else the artificial).  The reduced costs do not
 move, so the basis stays dual feasible, and a dual simplex on the phase-two
 row restores primal feasibility (Lemke, "The dual method of solving the
-linear programming problem", Naval Res. Logist. Q. 1954).  Basic
+linear programming problem", Naval Res. Logist. Q. 1954); HiGHS reoptimizes
+the same way after a bound change (Huangfu & Hall, "Parallelizing the dual
+revised simplex method", Math. Prog. Comp. 2018).  Basic
 artificials are bounded at 0 from both sides.  The most violated row
 leaves; the entering column is the one of minimum ratio of reduced cost to
 pivot entry, within the same tolerance band as above, with ties going to
 the lowest index; after a stall the lowest basic column index leaves
-instead.  When no column can enter, the leaving row's entries in the unit
+instead, and the cold path's iteration budget applies.  When no column can
+enter, the leaving row's entries in the unit
 columns are a Farkas ray and the problem is infeasible.  A restart checks
 its own answer inside the same call: an optimum must satisfy the
 equilibrated rows within ``FEAS_TOL``, and a ray must prove infeasibility

@@ -43,9 +43,11 @@ the total on the second line shows where it comes from.
 
 The sixth line is the total ``SimplexResult.iterations`` over every
 ``solve_dense`` call the cases above make, counted by a spy wrapped around
-``solve_dense`` wherever an optiloop module has imported it.  Two simplex
-kernels that pivot identically print the same total, so a kernel change that
-must keep every pivot shows it as one number.
+``solve_dense`` wherever an optiloop module has imported it.  A call that
+restarts from an earlier tableau counts its dual simplex pivots, plus the
+cold solve's when the restart is discarded.  Two simplex kernels that pivot
+identically print the same total, so a kernel change that must keep every
+pivot shows it as one number.
 """
 
 import contextlib
