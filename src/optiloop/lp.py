@@ -562,8 +562,8 @@ def solve(p, feasibility_only=False, start=None):
         A, rhs, senses, c_free, offset, free, orig = _assemble(p)
         tableau = None
     else:
-        A, senses, c_free, offset, free, orig = f.A, f.senses, f.c_free, f.offset, f.free, f.orig
-        tableau = f.tableau
+        A, senses, c_free, offset = f.A, f.senses, f.c_free, f.offset
+        free, orig, tableau = f.free, f.orig, f.tableau
     n_rows = len(p.constraints)
     res = solve_dense(
         c_free, A, rhs, senses, feasibility_only=feasibility_only, start=tableau

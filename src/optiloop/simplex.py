@@ -265,9 +265,9 @@ def _restart(t, c, A, b, is_le):
         viol = np.where(is_le, np.maximum(gap, 0.0), np.abs(gap))
         if viol.max() > FEAS_TOL or x.min(initial=0.0) < -FEAS_TOL:
             return None, iters
-        frame = replace(t, D=D, basis=basis, rhs=rhs)
-        duals = _duals(frame, D[m + 1], 0.0)
-        return SimplexResult("optimal", x, float(c @ x), duals, 0.0, iters, frame), iters
+        final = replace(t, D=D, basis=basis, rhs=rhs)
+        duals = _duals(final, D[m + 1], 0.0)
+        return SimplexResult("optimal", x, float(c @ x), duals, 0.0, iters, final), iters
 
     # Row ``row`` reads u @ (the initial rows) with u = D[row, unit]; signed
     # so that y @ b > 0, while y @ (every column allowed to enter) <= 0.
@@ -352,7 +352,7 @@ def _cold(c, A, b, is_le, scale, feasibility_only):
     unit = np.empty(m, dtype=int)
     unit[le_rows] = slack_cols
     unit[art_rows] = art_cols
-    frame = _Tableau(D, basis, unit, art_rows, scale, flip, b, n_real)
+    tableau = _Tableau(D, basis, unit, art_rows, scale, flip, b, n_real)
 
     maxiter = 500 + 30 * (m + ncols)
 
@@ -369,7 +369,7 @@ def _cold(c, A, b, is_le, scale, feasibility_only):
     phase1_obj = -z1[-1]
 
     if phase1_obj > FEAS_TOL:
-        duals = _duals(frame, z1, 1.0)
+        duals = _duals(tableau, z1, 1.0)
         return SimplexResult("infeasible", None, np.inf, duals, phase1_obj, iters)
 
     if feasibility_only:
@@ -394,7 +394,7 @@ def _cold(c, A, b, is_le, scale, feasibility_only):
 
     x = np.zeros(ncols)
     x[basis] = D[:m, -1]
-    duals = _duals(frame, z2, 0.0)
+    duals = _duals(tableau, z2, 0.0)
     return SimplexResult(
-        "optimal", x[:n], float(c @ x[:n]), duals, phase1_obj, iters, frame
+        "optimal", x[:n], float(c @ x[:n]), duals, phase1_obj, iters, tableau
     )

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import single_vnf_scenario
 from corpus import make_toy
-from optiloop import loop, lp
+from optiloop import loop, lp, simplex
 from optiloop.errors import InstanceInfeasible, InvariantBroken, RepairDiverged
 from optiloop.iis import IisReport, _feasible
 from optiloop.loop import (
@@ -458,13 +458,20 @@ def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):
 
 def test_restarted_probes_agree_with_cold_solves(monkeypatch):
     restarts = {"optimal": 0, "infeasible": 0}
-    real_solve = lp.solve
+    colds = []
+    real_solve, real_cold = lp.solve, simplex._cold
+
+    def spy_cold(*args):
+        colds.append(args)
+        return real_cold(*args)
 
     def spy_solve(p, *args, start=None, **kwargs):
-        sol = real_solve(p, *args, start=start, **kwargs)
         frame = None if start is None else start.frame
         if frame is None or lp._restart_rhs(p, frame) is None:
-            return sol
+            return real_solve(p, *args, start=start, **kwargs)
+        colds.clear()
+        sol = real_solve(p, *args, start=start, **kwargs)
+        assert colds == [], "the restart fell back to the cold solve"
         cold = real_solve(p, *args, **kwargs)
         assert sol.status == cold.status
         if cold.is_feasible:
@@ -477,6 +484,7 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
         return sol
 
     monkeypatch.setattr(lp, "solve", spy_solve)
+    monkeypatch.setattr(simplex, "_cold", spy_cold)
     for toy in range(12):
         s = make_toy(toy)
         for seed in (0, 1):

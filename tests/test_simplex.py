@@ -302,7 +302,8 @@ def _box_lps(draw):
     ``n`` rows), and the rhs with some of those bounds lowered to 0."""
     m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     ints = st.integers(-3, 3)
-    A = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)))
+    rows = st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)
+    A = np.array(draw(rows))
     b = np.array(draw(st.lists(st.integers(-2, 4), min_size=m, max_size=m)), dtype=float)
     c = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
     senses = draw(st.lists(st.sampled_from(["le", "le", "eq"]), min_size=m, max_size=m))
