@@ -20,7 +20,7 @@ overlap; the repair procedure keys its decisions off exactly those
 families.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,23 @@ class IisReport:
         return family in self.families
 
 
-def _feasible(p, rows):
-    q = replace(p, constraints=tuple(p.constraints[r] for r in rows))
-    A, rhs, senses, c_free, _offset, _free, _orig = _assemble(q)
-    res = solve_dense(c_free, A, rhs, senses, feasibility_only=True)
+def _feasible(p, rows, block=None):
+    """Whether the constraints ``rows`` of ``p``, in that order, and its
+    variable bounds admit a point.  ``block`` is ``_assemble(p)``, when the
+    caller tests many subsets of one problem.
+
+    Each row of the block is built from its own terms, so the rows kept
+    here equal those ``_assemble`` builds for the subset alone.
+    """
+    A, rhs, senses, c_free, _offset, _free, orig = block or _assemble(p)
+    at = np.full(len(p.constraints), -1)
+    at[orig] = np.arange(orig.size)
+    picked = at[np.asarray(rows, dtype=np.intp)]
+    # Dropped trivial rows read -1; the bound rows follow the constraints.
+    keep = np.concatenate([picked[picked >= 0], np.arange(orig.size, rhs.size)])
+    res = solve_dense(
+        c_free, A[keep], rhs[keep], [senses[k] for k in keep.tolist()], feasibility_only=True
+    )
     return res.status != "infeasible"
 
 
@@ -77,6 +90,7 @@ def compute_iis(p, solution=None):
         range(len(cids)), key=lambda r: (_DELETION_ORDER[cids[r][0]], cids[r][1])
     )
     kept = ordered
+    block = _assemble(p)
 
     # Farkas prefilter: restrict attention to the certificate's support when
     # that support is itself infeasible.  Processing caps are substitutable
@@ -94,14 +108,14 @@ def compute_iis(p, solution=None):
                 support.add(twin)
         if support and len(support) < len(kept):
             solves += 1
-            if not _feasible(p, sorted(support)):
+            if not _feasible(p, sorted(support), block):
                 kept = [r for r in ordered if r in support]
 
     # Row-level deletion sweep.
     for r in list(kept):
         trial = [q for q in kept if q != r]
         solves += 1
-        if not _feasible(p, sorted(trial)):
+        if not _feasible(p, sorted(trial), block):
             kept = trial
 
     ids = tuple(sorted(cids[r] for r in kept))

@@ -194,8 +194,10 @@ def _switch(b, col, value, gates):
 
 def _configuration(p, b, solution):
     """The operating point of the binaries ``b`` of ``p`` with the flows of
-    ``solution``; flows at or below 1e-12 traffic scales read 0."""
-    thresh = 1e-12 * max(1.0, p.traffic_scale)
+    ``solution``; flows at or below 1e-9 traffic scales read 0.  The LP
+    solves to about 1e-12 of a traffic scale, and noise kept on one term of
+    a row but dropped on the terms that balance it would break the row."""
+    thresh = 1e-9 * max(1.0, p.traffic_scale)
     binaries = {kind: {} for kind in lp.BINARY_KINDS}
     for ref, value in zip(p.variables, b.tolist()):
         binaries[ref.kind][_key(ref)] = value

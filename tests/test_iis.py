@@ -1,10 +1,12 @@
 """IIS extraction: family identification and minimality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from corpus import make_capacity_starved, make_compute_starved
-from optiloop import lp
+from optiloop import iis, lp
 from optiloop.errors import NotInfeasible
 from optiloop.iis import compute_iis, _feasible
 from optiloop.loop import _all_on, _assignment_modes
@@ -94,6 +96,41 @@ def test_minimality_every_member_essential():
                 assert _feasible(fp, remaining), (
                     f"member {fp.constraints[drop].cid} is not essential"
                 )
+
+
+def test_feasible_from_one_block_poses_each_subset_as_its_own_assembly(monkeypatch):
+    # compute_iis assembles its problem once and solves each trial on rows
+    # of that block; the rows passed to the solver must be those the trial
+    # subset assembles to, bit for bit, with or without a block at hand.
+    posed = []
+    real = iis.solve_dense
+
+    def spy(c, A, rhs, senses, **kwargs):
+        posed.append((c, A, rhs, list(senses)))
+        return real(c, A, rhs, senses, **kwargs)
+
+    monkeypatch.setattr(iis, "solve_dense", spy)
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for seed in range(4):
+        for maker in (make_capacity_starved, make_compute_starved):
+            fp = _all_on_problem(maker(seed))
+            block = lp._assemble(fp)
+            n = len(fp.constraints)
+            for share in (0.3, 0.7, 0.95, 1.0):
+                rows = sorted(np.flatnonzero(rng.random(n) < share).tolist())
+                q = replace(fp, constraints=tuple(fp.constraints[r] for r in rows))
+                A, rhs, senses, c, _offset, _free, _orig = lp._assemble(q)
+                posed.clear()
+                got = {_feasible(fp, rows), _feasible(fp, rows, block)}
+                assert len(got) == 1
+                for c_got, A_got, rhs_got, senses_got in posed:
+                    assert np.array_equal(c_got, c)
+                    assert np.array_equal(A_got, A)
+                    assert np.array_equal(rhs_got, rhs)
+                    assert senses_got == senses
+                verdicts |= got
+    assert verdicts == {True, False}
 
 
 def test_loop_solution_saves_the_opening_solve():

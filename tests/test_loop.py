@@ -178,6 +178,38 @@ def test_compute_repair_deploys_on_idle_node():
     assert validate_configuration(doubled, state.current, tol=1e-6) == []
 
 
+def test_configuration_drops_balanced_lp_noise():
+    # The LP solves to about 1e-12 of a traffic scale.  A row that balances
+    # noise on a kept inflow against noise on dropped terms must not become
+    # a violation: here inflow a into one node split into an inflow of -b
+    # and processed flow c, with a = b + c, 1e-12 t0 between c and a.
+    s = generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1))
+    p = lp.build_problem(s)
+    t0 = p.traffic_scale
+    assert t0 >= 1e8
+    b = np.ones(p.n_binaries(), dtype=np.int8)
+    sol = lp.solve(_assignment_problem(p, b))
+    assert validate_configuration(s, _configuration(p, b, sol), tol=1e-6) == []
+    into = {}
+    for ref in p.variables:
+        if ref.kind == "tau":
+            into.setdefault(ref.index[1:], []).append(ref)
+    key = next(
+        k
+        for k, refs in into.items()
+        if k[0] in s.physical.nodes
+        and len(refs) >= 2
+        and lp.VarRef("processed", k) in p.var_index
+        and all(sol.values[ref] == 0.0 for ref in refs)
+    )
+    noisy = dict(sol.values)
+    noisy[into[key][0]] = 2e-12 * t0
+    noisy[into[key][1]] = -1.5e-12 * t0
+    noisy[lp.VarRef("processed", key)] = 0.5e-12 * t0
+    cfg = _configuration(p, b, dataclasses.replace(sol, values=noisy))
+    assert validate_configuration(s, cfg, tol=1e-6) == []
+
+
 def test_unfixable_instance_raises():
     s = single_vnf_scenario(demand=1.0 * GIG)
     cfg = initial_solution(s)

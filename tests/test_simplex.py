@@ -13,7 +13,8 @@ import reference_simplex
 from corpus import make_capacity_starved, make_compute_starved, make_toy
 from optiloop import lp, simplex
 from optiloop.errors import SolverStall
-from optiloop.loop import _all_on, _assignment_modes
+from optiloop.loop import _all_on, _assignment_modes, _assignment_problem
+from optiloop.scenario import GeneratorParams, generate
 from optiloop.simplex import _pivot_once, solve_dense
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -188,11 +189,14 @@ def test_row_restricted_pivot_matches_full_update():
         basis = np.arange(m)
         want = (D.copy(), basis.copy())
         _pivot_full(want[0][:m], [want[0][m], want[0][m + 1]], want[1], col, row)
-        _pivot_once(D, basis, col, row)
-        # Skipped rows keep a -0.0 the full update would have made +0.0.
-        assert np.array_equal(D[:m] + 0.0, want[0][:m] + 0.0)
-        assert np.array_equal(D[m:] + 0.0, want[0][m:] + 0.0)
-        assert np.array_equal(basis, want[1])
+        # The solver's own column-major layout, and a row-major copy.
+        for got in (np.asfortranarray(D), D.copy()):
+            got_basis = basis.copy()
+            _pivot_once(got, got_basis, col, row)
+            # Skipped entries keep a -0.0 the full update would have made +0.0.
+            assert np.array_equal(got[:m] + 0.0, want[0][:m] + 0.0)
+            assert np.array_equal(got[m:] + 0.0, want[0][m:] + 0.0)
+            assert np.array_equal(got_basis, want[1])
 
 
 def _assert_same_result(got, want):
@@ -279,6 +283,18 @@ def _toy_lps(seed):
     for s in (toy, make_capacity_starved(seed), make_compute_starved(seed)):
         p = lp.build_problem(s)
         yield lp._with_modes(p, _assignment_modes(p, *_all_on(s)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matches_frozen_reference_bit_for_bit_on_generated_lps(seed):
+    # The relaxed root and the all-on pinned LP of a generated 2x4
+    # instance: about 210 and 140 rows, 100 to 215 pivots.
+    p = lp.build_problem(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=seed)))
+    for q in (p, _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))):
+        A, rhs, senses, c, _offset, _free, _orig = lp._assemble(q)
+        want = reference_simplex.solve_dense(c, A, rhs, senses)
+        assert want.status == "optimal" and A.shape[0] > 130
+        _assert_same_result(solve_dense(c, A, rhs, senses), want)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -387,3 +403,77 @@ def test_lp_restarts_only_with_binaries_it_relaxed_pinned_to_0(monkeypatch):
         assert got.status == want.status, name
         assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9), name
         assert got.values[p.variables[y]] == want.values[p.variables[y]], name
+
+
+def _restart_case():
+    """Toy 0's relaxed root, its optimal result, and its rhs with the
+    bounds of the last three relaxed binaries lowered to 0."""
+    p = lp.build_problem(make_toy(0))
+    A, rhs, senses, c, _offset, _free, _orig = lp._assemble(p)
+    lowered = rhs.copy()
+    lowered[-3:] = 0.0
+    return c, A, rhs, lowered, senses, solve_dense(c, A, rhs, senses)
+
+
+def _spy_cold(monkeypatch):
+    colds = []
+    real_cold = simplex._cold
+
+    def spy_cold(*args):
+        colds.append(args)
+        return real_cold(*args)
+
+    monkeypatch.setattr(simplex, "_cold", spy_cold)
+    return colds
+
+
+def test_tableaus_are_column_major():
+    c, A, _rhs, lowered, senses, start = _restart_case()
+    assert start.tableau.D.flags.f_contiguous
+    restarted = solve_dense(c, A, lowered, senses, start=start.tableau)
+    assert restarted.iterations > 0
+    assert restarted.tableau.D.flags.f_contiguous
+    # A row-major start is restarted on a column-major copy.
+    row_major = replace(start.tableau, D=np.ascontiguousarray(start.tableau.D))
+    again = solve_dense(c, A, lowered, senses, start=row_major)
+    assert again.tableau.D.flags.f_contiguous
+    assert again.iterations == restarted.iterations
+    assert np.array_equal(again.x, restarted.x)
+
+
+def test_restart_that_loses_dual_feasibility_runs_the_cold_solve(monkeypatch):
+    # A negative reduced cost on a nonbasic column: the dual simplex would
+    # end primal feasible but not optimal, which the check against the rows
+    # cannot see.
+    c, A, _rhs, lowered, senses, start = _restart_case()
+    t = start.tableau
+    m = t.basis.size
+    nonbasic = np.setdiff1d(np.arange(t.n_real), t.basis)
+    corrupted = replace(t, D=t.D.copy())
+    corrupted.D[m + 1, nonbasic[corrupted.D[m + 1, nonbasic].argmax()]] = -1e-3
+    colds = _spy_cold(monkeypatch)
+    got = solve_dense(c, A, lowered, senses, start=corrupted)
+    assert len(colds) == 1
+    want = solve_dense(c, A, lowered, senses)
+    _assert_same_result(got, want)
+    assert np.array_equal(got.tableau.D, want.tableau.D)
+
+
+def test_restart_past_its_budget_runs_the_cold_solve(monkeypatch):
+    c, A, _rhs, lowered, senses, start = _restart_case()
+    assert solve_dense(c, A, lowered, senses, start=start.tableau).iterations > 1
+    real_dual = simplex._dual_phase
+
+    def one_pivot_budget(D, basis, n_real, maxiter, *rest):
+        return real_dual(D, basis, n_real, 0, *rest)
+
+    monkeypatch.setattr(simplex, "_dual_phase", one_pivot_budget)
+    colds = _spy_cold(monkeypatch)
+    got = solve_dense(c, A, lowered, senses, start=start.tableau)
+    assert len(colds) == 1
+    want = solve_dense(c, A, lowered, senses)
+    assert got.status == want.status == "optimal"
+    assert got.iterations == want.iterations + 1
+    assert got.objective == want.objective
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.row_duals, want.row_duals)
