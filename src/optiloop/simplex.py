@@ -12,11 +12,10 @@ so degenerate instances terminate.  Identical inputs always produce
 identical outputs.
 
 Tableau layout.  ``D`` has ``m + 2`` rows and ``ncols + 1`` columns and is
-stored column-major.  Rows
-``0..m-1`` are the constraints, row ``m`` is the phase-one objective (the
-sum of the artificials) and row ``m + 1`` the phase-two objective; the
-columns are the structural variables, the slacks of the ``le`` rows, the
-artificials, and the right-hand side last.  ``basis[i]`` is the column basic
+stored column-major.  Rows ``0..m-1`` are the constraints, row ``m`` is the
+phase-one objective (the sum of the artificials) and row ``m + 1`` the
+phase-two objective; the columns are the structural variables, the slacks
+of the ``le`` rows, the artificials, and the right-hand side last.  ``basis[i]`` is the column basic
 in constraint row ``i``.  The artificials are the trailing columns, so the
 columns allowed to enter in phase two are a leading slice.
 
@@ -24,17 +23,16 @@ Same operations.  A pivot divides the pivot row by the pivot entry, then
 subtracts ``D[i, col] * D[row, j]`` from ``D[i, j]`` for every column ``j``
 where the divided pivot row is nonzero, in every row, objective rows
 included, in one rank-1 update over those columns.  That is the operation a
-full-tableau update applies to every entry; the columns it skips would only
-have had ±0 subtracted from them, and so would the rows whose entry in the
-pivot column is 0.  Column-major storage makes each gathered column one
-contiguous block.  The tableaux of the problems this package builds stay
-sparse: over one pass of the benchmark corpora, a pivot row has a nonzero
-in 13 % (``ladder_2x4``), 16 % (``demand_shift``) and 20 %
-(``corpus_sweep``) of the columns, while 33 %, 38 % and 51 % of the rows
-have one in the pivot column.  The ratio test
-divides the same right-hand side by the same column entries and keeps the
-same tolerance band around the best ratio, so every pivot, and with it every
-status, point, objective, dual and iteration count, is the one a
+full-tableau update applies to every entry; in the columns it skips, as in
+the rows whose entry in the pivot column is 0, it subtracts ±0.
+Column-major storage makes each gathered column one contiguous block.  The
+tableaux of the problems this package builds stay sparse: over one pass of
+the benchmark corpora, a pivot row has a nonzero in 13 % (``ladder_2x4``),
+16 % (``demand_shift``) and 20 % (``corpus_sweep``) of the columns, while
+33 %, 38 % and 51 % of the rows have one in the pivot column.  The ratio
+test divides the same right-hand side by the same column entries and keeps
+the same tolerance band around the best ratio, so every pivot, and with it
+every status, point, objective, dual and iteration count, is the one a
 row-by-row implementation of these rules produces; only the sign of a zero
 can differ.
 
@@ -62,8 +60,7 @@ artificials are bounded at 0 from both sides.  The most violated row
 leaves; the entering column is the one of minimum ratio of reduced cost to
 pivot entry, within the same tolerance band as above, with ties going to
 the lowest index; after a stall the lowest basic column index leaves
-instead.  When no column can
-enter, the leaving row's entries in the unit
+instead.  When no column can enter, the leaving row's entries in the unit
 columns are a Farkas ray and the problem is infeasible.  A restart checks
 itself inside the same call.  Before every dual pivot, each reduced cost
 allowed to enter must be at least ``-FEAS_TOL * max(1, max|c|)``: pivots

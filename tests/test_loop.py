@@ -180,9 +180,9 @@ def test_compute_repair_deploys_on_idle_node():
 
 def test_configuration_drops_balanced_lp_noise():
     # The LP solves to about 1e-12 of a traffic scale.  A row that balances
-    # noise on a kept inflow against noise on dropped terms must not become
-    # a violation: here inflow a into one node split into an inflow of -b
-    # and processed flow c, with a = b + c, 1e-12 t0 between c and a.
+    # noise on one term against noise on others must not become a
+    # violation: here an inflow a into one node is balanced by an inflow of
+    # -b and a processed flow c (a = b + c), with c < 1e-12 t0 < a.
     s = generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1))
     p = lp.build_problem(s)
     t0 = p.traffic_scale
