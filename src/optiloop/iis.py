@@ -47,21 +47,23 @@ class IisReport:
 
 
 def _feasible(p, rows, block=None):
-    """Whether the constraints ``rows`` of ``p``, in that order, and its
-    variable bounds admit a point.  ``block`` is ``_assemble(p)``, when the
-    caller tests many subsets of one problem.
+    """Whether the constraints ``rows`` of ``p`` and its variable bounds
+    admit a point.  ``block`` is ``_assemble(p)``, when the caller tests
+    many subsets of one problem.
 
     Each row of the block is built from its own terms, so the rows kept
     here equal those ``_assemble`` builds for the subset alone.
     """
-    A, rhs, senses, c_free, _offset, _free, orig = block or _assemble(p)
-    at = np.full(len(p.constraints), -1)
-    at[orig] = np.arange(orig.size)
-    picked = at[np.asarray(rows, dtype=np.intp)]
-    # Dropped trivial rows read -1; the bound rows follow the constraints.
-    keep = np.concatenate([picked[picked >= 0], np.arange(orig.size, rhs.size)])
+    b = block or _assemble(p)
+    # One entry per constraint, then a set one that every bound row reads:
+    # its name ``-1 - col`` is clipped to -1.
+    wanted = np.zeros(len(p.constraints) + 1, dtype=bool)
+    wanted[np.asarray(rows, dtype=np.intp)] = True
+    wanted[-1] = True
+    keep = wanted[np.maximum(b.rows, -1)]
     res = solve_dense(
-        c_free, A[keep], rhs[keep], [senses[k] for k in keep.tolist()], feasibility_only=True
+        b.c, b.A[keep], b.rhs[keep], [s for s, k in zip(b.senses, keep.tolist()) if k],
+        feasibility_only=True,
     )
     return res.status != "infeasible"
 

@@ -6,7 +6,8 @@ either pinned to a value or relaxed to [0, 1], so each solve is a plain LP.
 ``LpProblem`` is a plain value: its rows and objective plus ``pins``, one
 int8 per binary (0 or 1 pins it, -1 relaxes it to [0, 1]); the flows are
 continuous.  ``fix``/``relax`` return modified copies, and each solve
-assembles its dense block from the problem's own rows.
+assembles its dense block (``_Block``) from the problem's own rows; an
+optimal solution keeps that block, with its final tableau, as ``frame``.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
 records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
@@ -134,9 +135,9 @@ class LpSolution:
     iterations: int = 0
     max_residual: float = 0.0
     row_duals: np.ndarray = None
-    # Optimal solutions only: the block solved and its final tableau, which
-    # ``solve(q, start=...)`` restarts from.
-    frame: "_Frame" = None
+    # Optimal solutions only: the block solved, holding its final tableau,
+    # which ``solve(q, start=...)`` restarts from.
+    frame: "_Block" = None
 
     @property
     def is_feasible(self):
@@ -215,12 +216,14 @@ def build_problem(s):
 
     var_index = {ref: i for i, ref in enumerate(variables)}
     nv = len(variables)
+    # The rows look their terms up by plain (kind, *index) keys.
+    at = {(ref.kind, *ref.index): i for i, ref in enumerate(variables)}
 
     def col(kind, *index):
-        return var_index[VarRef(kind, tuple(index))]
+        return at[(kind, *index)]
 
     def maybe(kind, *index):
-        return var_index.get(VarRef(kind, tuple(index)))
+        return at.get((kind, *index))
 
     in_links = {c: [] for c in nodes}
     out_links = {c: [] for c in nodes}
@@ -438,12 +441,38 @@ def relax(p, ref):
 DENSE_CELL_LIMIT = 50_000_000
 
 
-def _assemble(p):
-    """Dense block over the free columns, with the pinned values folded into
-    the rhs and [0,1] bound rows appended for the relaxed binaries.
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """The dense block a solve of ``problem`` runs on: ``A x (senses) rhs``
+    over the free columns, ``x >= 0``, minimizing ``c @ x + offset``.
 
-    Rows whose free part vanished and whose rhs is trivially satisfied are
-    dropped; ``orig_rows`` maps kept rows back to constraint indices.
+    ``free`` marks the free columns among the problem's: the flows and the
+    relaxed binaries; the pinned binaries are folded into ``rhs`` and
+    ``offset``.  ``rows`` names every row of the block, in block order:
+    first the constraint index of each row kept, ascending, then ``-1 -
+    col`` for the ``x_col <= 1`` row of each relaxed binary column, in
+    column order.  A constraint is left out when its free part vanished and
+    its rhs holds trivially.
+
+    ``tableau`` is None until an optimal solve sets it.  ``_repose`` keeps
+    it for a restart; the problem it poses may pin at 0 a binary that is
+    still a free column here, with a bound row of rhs 0.
+    """
+
+    problem: LpProblem
+    A: np.ndarray
+    rhs: np.ndarray
+    senses: list
+    c: np.ndarray
+    offset: float
+    free: np.ndarray
+    rows: np.ndarray
+    tableau: object = None
+
+
+def _assemble(p):
+    """The ``_Block`` of ``p``, assembled from its rows.
+
     Raises ShapeMismatch before allocating anything when the tableau that
     ``solve_dense`` builds from the block could exceed ``DENSE_CELL_LIMIT``.
     """
@@ -485,7 +514,7 @@ def _assemble(p):
     rhs = np.array([con.rhs for con in p.constraints], dtype=float)
     np.subtract.at(rhs, np.array(fold_rows, dtype=np.intp), folds)
     senses = [con.sense for con in p.constraints]
-    orig = np.arange(n_rows)
+    names = np.arange(n_rows)
     senses_arr = np.array(senses)
     nonzero = (A != 0.0).any(axis=1)
     trivial = ~nonzero & np.where(
@@ -495,38 +524,21 @@ def _assemble(p):
         keep = ~trivial
         A = A[keep]
         rhs = rhs[keep]
-        orig = orig[keep]
+        names = names[keep]
         senses = [sense for sense, k in zip(senses, keep.tolist()) if k]
     if n_relaxed:
         # The relaxed binaries are the leading free columns.
         A = np.vstack([A, np.eye(n_relaxed, n_free)])
         rhs = np.concatenate([rhs, np.ones(n_relaxed)])
         senses = senses + ["le"] * n_relaxed
-    c_free = p.objective[free]
+        names = np.concatenate([names, -1 - relaxed.nonzero()[0]])
     offset = float(p.objective[~free] @ p.pins[~relaxed].astype(float))
-    return A, rhs, senses, c_free, offset, free, orig
+    return _Block(p, A, rhs, senses, p.objective[free], offset, free, names)
 
 
-@dataclass(frozen=True, eq=False)
-class _Frame:
-    """The block an optimal solve of ``problem`` ran on, as ``_assemble``
-    returned it with the rhs actually solved, and the solve's final tableau.
-    A binary that ``problem`` pins at 0 may still be a free column here,
-    with a bound row of rhs 0."""
-
-    problem: LpProblem
-    A: np.ndarray
-    rhs: np.ndarray
-    senses: list
-    c_free: np.ndarray
-    offset: float
-    free: np.ndarray
-    orig: np.ndarray
-    tableau: object
-
-
-def _restart_rhs(p, f):
-    """The rhs that poses ``p`` in frame ``f``, or None when ``p`` is not
+def _repose(p, f):
+    """``p`` posed in the solved block ``f``: ``f`` with the bound rows of
+    the binaries ``p`` newly pins at rhs 0, or None when ``p`` is not
     ``f.problem`` with some of the binaries it relaxes pinned to 0."""
     q = f.problem
     if p.constraints is not q.constraints or not np.array_equal(p.objective, q.objective):
@@ -534,11 +546,10 @@ def _restart_rhs(p, f):
     newly = (q.pins < 0) & (p.pins == 0)
     if not np.array_equal(p.pins[~newly], q.pins[~newly]):
         return None
-    # The bound rows follow the kept rows, one per free binary in order.
-    bound_row = f.orig.size + np.cumsum(f.free[: q.pins.size]) - 1
+    bound = (f.rows < 0).nonzero()[0]
     rhs = f.rhs.copy()
-    rhs[bound_row[newly]] = 0.0
-    return rhs
+    rhs[bound[newly[-1 - f.rows[bound]]]] = 0.0
+    return replace(f, rhs=rhs)
 
 
 def solve(p, feasibility_only=False, start=None):
@@ -551,30 +562,25 @@ def solve(p, feasibility_only=False, start=None):
     ``start`` is an earlier solution.  When it is optimal and ``p`` is its
     LP (same ``constraints`` object, equal objective) with some binaries it
     relaxed pinned to 0, ``p`` is posed in ``start``'s block instead of
-    being assembled: the same matrix, costs and senses, with the bound rows
-    of the newly pinned columns at rhs 0.  The simplex then restarts from
-    ``start``'s final tableau (``simplex`` module, Restarts).  In every
-    other case, and for ``feasibility_only``, the solve runs cold.
+    being assembled (``_repose``), and the simplex restarts from the
+    block's final tableau (``simplex`` module, Restarts).  In every other
+    case, and for ``feasibility_only``, the solve runs cold.
     """
     f = start.frame if start is not None and not feasibility_only else None
-    rhs = None if f is None else _restart_rhs(p, f)
-    if rhs is None:
-        A, rhs, senses, c_free, offset, free, orig = _assemble(p)
-        tableau = None
-    else:
-        A, senses, c_free, offset = f.A, f.senses, f.c_free, f.offset
-        free, orig, tableau = f.free, f.orig, f.tableau
-    n_rows = len(p.constraints)
+    block = None if f is None else _repose(p, f)
+    if block is None:
+        block = _assemble(p)
     res = solve_dense(
-        c_free, A, rhs, senses, feasibility_only=feasibility_only, start=tableau
+        block.c, block.A, block.rhs, block.senses,
+        feasibility_only=feasibility_only, start=block.tableau,
     )
 
     def scatter_duals():
         if res.row_duals is None:
             return None
-        duals = np.zeros(n_rows)
-        kept = orig.size
-        duals[orig] = res.row_duals[:kept]
+        duals = np.zeros(len(p.constraints))
+        kept = block.rows >= 0
+        duals[block.rows[kept]] = res.row_duals[kept]
         return duals
 
     if res.status == "infeasible":
@@ -583,22 +589,22 @@ def solve(p, feasibility_only=False, start=None):
         return LpSolution("unbounded", {}, -math.inf, res.iterations, 0.0, None)
 
     full = np.zeros(p.n_vars())
-    full[free] = res.x
+    full[block.free] = res.x
     # Pinned binaries read their pins, also those the block keeps free.
     nb = p.n_binaries()
     full[:nb] = np.where(p.pins < 0, full[:nb], p.pins)
     full[nb:] *= p.traffic_scale  # the flows
     values = dict(zip(p.variables, full.tolist()))
     resid = 0.0
-    if A.shape[0]:
-        gap = A @ res.x - rhs
-        viol = np.where(np.array(senses) == "eq", np.abs(gap), np.maximum(gap, 0.0))
+    if block.A.shape[0]:
+        gap = block.A @ res.x - block.rhs
+        viol = np.where(np.array(block.senses) == "eq", np.abs(gap), np.maximum(gap, 0.0))
         resid = float(viol.max())
     frame = None
     if res.tableau is not None:
-        frame = _Frame(p, A, rhs, senses, c_free, offset, free, orig, res.tableau)
+        frame = replace(block, problem=p, tableau=res.tableau)
     return LpSolution(
-        "optimal", values, res.objective + offset, res.iterations, resid,
+        "optimal", values, res.objective + block.offset, res.iterations, resid,
         scatter_duals(), frame,
     )
 

@@ -5,11 +5,11 @@ Solves   min c @ x   s.t.   A x (<= | =) b,   x >= 0
 on a full tableau.  Rows are equilibrated (divided by their largest
 coefficient) before solving; infeasibility is declared when the phase-one
 optimum exceeds ``FEAS_TOL``.  Pivoting uses Dantzig's rule with a
-deterministic lowest-index tie-break and falls back to Bland's rule
-permanently once the objective stalls.  Bland's rule cannot cycle (Bland,
-"New finite pivoting rules for the simplex method", Math. Oper. Res. 1977),
-so degenerate instances terminate.  Identical inputs always produce
-identical outputs.
+deterministic lowest-index tie-break, and switches to Bland's rule for the
+rest of a phase once the phase has made 10(m + 20) pivots, m the number of
+rows.  Bland's rule cannot cycle from any basis (Bland, "New finite pivoting
+rules for the simplex method", Math. Oper. Res. 1977), so degenerate
+instances terminate.  Identical inputs always produce identical outputs.
 
 Tableau layout.  ``D`` has ``m + 2`` rows and ``ncols + 1`` columns and is
 stored column-major.  Rows ``0..m-1`` are the constraints, row ``m`` is the
@@ -59,9 +59,10 @@ revised simplex method", Math. Prog. Comp. 2018).  Basic
 artificials are bounded at 0 from both sides.  The most violated row
 leaves; the entering column is the one of minimum ratio of reduced cost to
 pivot entry, within the same tolerance band as above, with ties going to
-the lowest index; after a stall the lowest basic column index leaves
-instead.  When no column can enter, the leaving row's entries in the unit
-columns are a Farkas ray and the problem is infeasible.  A restart checks
+the lowest index; after 10(m + 20) dual pivots, the violated row with the
+lowest basic column index leaves instead.  When no column can enter, the
+leaving row's entries in the unit columns are a Farkas ray and the problem
+is infeasible.  A restart checks
 itself inside the same call.  Before every dual pivot, each reduced cost
 allowed to enter must be at least ``-FEAS_TOL * max(1, max|c|)``: pivots
 on an ill-conditioned tableau can lose dual feasibility, and a primal
@@ -156,11 +157,9 @@ def _run_phase(D, z, n_enter, basis, is_artificial, maxiter, iters, check_unboun
     ratios = np.empty(m)
     # Leaving key of each row, see Ratio ties; kept up to date per pivot.
     key = np.where(is_artificial[basis], basis, basis + ncols)
-    bland = False
-    stall = 0
-    stall_limit = 10 * (m + 20)
-    best = np.inf
+    bland_after = iters + 10 * (m + 20)
     while True:
+        bland = iters > bland_after
         if bland:
             cand = (rc < -PIVOT_TOL).nonzero()[0]
             if cand.size == 0:
@@ -186,14 +185,6 @@ def _run_phase(D, z, n_enter, basis, is_artificial, maxiter, iters, check_unboun
         _pivot_once(D, basis, col, row)
         key[row] = col if is_artificial[col] else col + ncols
         iters += 1
-        obj = -z[-1]
-        if obj < best - 1e-12 * (1.0 + abs(best)):
-            best = obj
-            stall = 0
-        else:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
         if iters > maxiter:
             raise SolverStall(f"simplex exceeded {maxiter} iterations")
 
@@ -212,17 +203,13 @@ def _dual_phase(D, basis, n_real, maxiter, rc_tol):
     z = D[m + 1]
     rc = z[:n_real]
     ratios = np.empty(n_real)
-    bland = False
-    stall = 0
-    stall_limit = 10 * (m + 20)
-    best = -z[-1]
     iters = 0
     while True:
         if rc.min() < -rc_tol or iters > maxiter:
             return None, -1, iters
         # Basic artificials are bounded at 0 from both sides.
         viol = np.where(basis >= n_real, np.abs(rhs), -rhs)
-        if bland:
+        if iters > 10 * (m + 20):
             cand = (viol > PIVOT_TOL).nonzero()[0]
             if cand.size == 0:
                 return "optimal", -1, iters
@@ -242,14 +229,6 @@ def _dual_phase(D, basis, n_real, maxiter, rc_tol):
         col = int((ratios <= best_ratio + PIVOT_TOL * (1.0 + best_ratio)).argmax())
         _pivot_once(D, basis, col, row)
         iters += 1
-        obj = -z[-1]
-        if obj > best + 1e-12 * (1.0 + abs(best)):
-            best = obj
-            stall = 0
-        else:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
 
 
 def _restart(t, c, A, b, is_le):

@@ -120,15 +120,15 @@ def test_feasible_from_one_block_poses_each_subset_as_its_own_assembly(monkeypat
             for share in (0.3, 0.7, 0.95, 1.0):
                 rows = sorted(np.flatnonzero(rng.random(n) < share).tolist())
                 q = replace(fp, constraints=tuple(fp.constraints[r] for r in rows))
-                A, rhs, senses, c, _offset, _free, _orig = lp._assemble(q)
+                want = lp._assemble(q)
                 posed.clear()
                 got = {_feasible(fp, rows), _feasible(fp, rows, block)}
                 assert len(got) == 1
                 for c_got, A_got, rhs_got, senses_got in posed:
-                    assert np.array_equal(c_got, c)
-                    assert np.array_equal(A_got, A)
-                    assert np.array_equal(rhs_got, rhs)
-                    assert senses_got == senses
+                    assert np.array_equal(c_got, want.c)
+                    assert np.array_equal(A_got, want.A)
+                    assert np.array_equal(rhs_got, want.rhs)
+                    assert senses_got == want.senses
                 verdicts |= got
     assert verdicts == {True, False}
 

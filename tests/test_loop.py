@@ -499,7 +499,7 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
 
     def spy_solve(p, *args, start=None, **kwargs):
         frame = None if start is None else start.frame
-        if frame is None or lp._restart_rhs(p, frame) is None:
+        if frame is None or lp._repose(p, frame) is None:
             return real_solve(p, *args, start=start, **kwargs)
         colds.clear()
         sol = real_solve(p, *args, start=start, **kwargs)

@@ -221,10 +221,10 @@ def _tableau_cells(p):
     assembled row plus two objective rows; a column per free column, per
     ``le`` slack and per artificial (``eq`` rows and ``le`` rows with a
     negative rhs), plus the rhs."""
-    A, rhs, senses, *_ = lp._assemble(p)
-    le = np.array(senses) == "le"
-    cols = A.shape[1] + le.sum() + (~le | (rhs < 0)).sum() + 1
-    return (A.shape[0] + 2) * int(cols)
+    b = lp._assemble(p)
+    le = np.array(b.senses) == "le"
+    cols = b.A.shape[1] + le.sum() + (~le | (b.rhs < 0)).sum() + 1
+    return (b.A.shape[0] + 2) * int(cols)
 
 
 def test_cell_limit_counts_bound_rows_and_auxiliary_columns(monkeypatch):
@@ -251,3 +251,99 @@ def test_cell_limit_never_undercounts_the_tableau(monkeypatch):
         with pytest.raises(ShapeMismatch):
             lp.solve(q)
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# The assembled block's row layout
+
+
+def _layout_problems():
+    """Toy 0 and a generated 2x4, each relaxed, all-on pinned and all-on
+    with its nodes relaxed."""
+    for s in (make_toy(0), generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1))):
+        p = lp.build_problem(s)
+        on = np.ones(p.n_binaries(), dtype=np.int8)
+        yield from (p, _assignment_problem(p, on), _assignment_problem(p, on, {"y": 1}))
+
+
+def _holds(con, pins):
+    """Whether ``con`` holds with every term's column at its pin."""
+    lhs = sum(coef * pins[pos] for pos, coef in con.terms)
+    return abs(lhs - con.rhs) <= 1e-12 if con.sense == "eq" else lhs <= con.rhs + 1e-12
+
+
+def test_block_names_kept_constraints_in_order_and_left_out_ones_hold():
+    left_out_somewhere = False
+    for p in _layout_problems():
+        b = lp._assemble(p)
+        kept = b.rows[b.rows >= 0]
+        assert b.rows.size == b.A.shape[0] == b.rhs.size == len(b.senses)
+        assert (b.rows[: kept.size] >= 0).all()  # the constraints come first
+        assert (np.diff(kept) > 0).all()
+        for r in sorted(set(range(len(p.constraints))) - set(kept.tolist())):
+            con = p.constraints[r]
+            assert not any(b.free[pos] for pos, _ in con.terms)
+            assert _holds(con, p.pins)
+            left_out_somewhere = True
+        for i, r in enumerate(kept.tolist()):
+            assert b.senses[i] == p.constraints[r].sense
+    assert left_out_somewhere
+
+
+def test_block_bound_rows_are_the_relaxed_binaries_unit_rows():
+    for p in _layout_problems():
+        b = lp._assemble(p)
+        bound = (b.rows < 0).nonzero()[0]
+        relaxed = (p.pins < 0).nonzero()[0]
+        assert np.array_equal(-1 - b.rows[bound], relaxed)
+        local = np.cumsum(b.free) - 1  # column -> free column
+        for i, col in zip(bound.tolist(), relaxed.tolist()):
+            unit = np.zeros(b.A.shape[1])
+            unit[local[col]] = 1.0
+            assert np.array_equal(b.A[i], unit)
+            assert (b.rhs[i], b.senses[i]) == (1.0, "le")
+
+
+def test_repose_moves_only_the_newly_pinned_bound_rows():
+    p = lp.build_problem(make_toy(0))
+    guide = lp.solve(p)
+    f = guide.frame
+    y = np.arange(p.n_binaries())[p.layout["y"]][:2]
+    q = lp._with_modes(p, {p.variables[col]: lp.fixed(0) for col in y.tolist()})
+    r = lp._repose(q, f)
+    for name in ("problem", "A", "senses", "c", "free", "rows", "tableau"):
+        assert getattr(r, name) is getattr(f, name), name
+    assert r.offset == f.offset
+    moved = np.isin(f.rows, -1 - y)
+    assert moved.sum() == y.size
+    assert (r.rhs[moved] == 0.0).all() and (f.rhs[moved] == 1.0).all()
+    assert np.array_equal(r.rhs[~moved], f.rhs[~moved])
+    # The restarted solve keeps the reposed block, for ``q``, with its own
+    # final tableau; posing ``q`` there again moves nothing.
+    probe = lp.solve(q, start=guide)
+    g = probe.frame
+    assert g.problem is q and g.A is f.A and g.tableau is not f.tableau
+    assert np.array_equal(lp._repose(q, g).rhs, r.rhs)
+    # Not the frame's problem with relaxed binaries pinned to 0: None.
+    copied = dataclasses.replace(q, constraints=tuple(list(q.constraints)))
+    others = {
+        "another constraints object": (copied, f),
+        "another objective": (dataclasses.replace(q, objective=q.objective * 2), f),
+        "pinned to 1": (lp.fix(p, p.variables[int(y[0])], 1), f),
+        "a pinned binary relaxed": (p, g),
+    }
+    for name, (other, frame) in others.items():
+        assert lp._repose(other, frame) is None, name
+
+
+def test_infeasible_row_duals_are_zero_on_left_out_constraints():
+    for seed in range(3):
+        s = make_capacity_starved(seed)
+        p = lp.build_problem(s)
+        q = _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
+        sol = lp.solve(q)
+        assert sol.status == "infeasible"
+        b = lp._assemble(q)
+        left_out = np.setdiff1d(np.arange(len(q.constraints)), b.rows)
+        assert left_out.size and (sol.row_duals[left_out] == 0.0).all()
+        assert np.abs(sol.row_duals).max() > 0.0

@@ -2,6 +2,7 @@
 frozen copy of its earlier kernel (``reference_simplex``)."""
 
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from optiloop.scenario import GeneratorParams, generate
 from optiloop.simplex import _pivot_once, solve_dense
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+# The LP of an assembled block, in the order the tests below unpack it.
+_block_lp = attrgetter("A", "rhs", "senses", "c")
 
 
 def _highs(c, A, b, senses):
@@ -291,7 +294,7 @@ def test_matches_frozen_reference_bit_for_bit_on_generated_lps(seed):
     # instance: about 210 and 140 rows, 100 to 215 pivots.
     p = lp.build_problem(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=seed)))
     for q in (p, _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))):
-        A, rhs, senses, c, _offset, _free, _orig = lp._assemble(q)
+        A, rhs, senses, c = _block_lp(lp._assemble(q))
         want = reference_simplex.solve_dense(c, A, rhs, senses)
         assert want.status == "optimal" and A.shape[0] > 130
         _assert_same_result(solve_dense(c, A, rhs, senses), want)
@@ -301,7 +304,7 @@ def test_matches_frozen_reference_bit_for_bit_on_generated_lps(seed):
 def test_matches_frozen_reference_bit_for_bit_on_toy_lps(seed):
     statuses = set()
     for p in _toy_lps(seed):
-        A, rhs, senses, c, _offset, _free, _orig = lp._assemble(p)
+        A, rhs, senses, c = _block_lp(lp._assemble(p))
         want = reference_simplex.solve_dense(c, A, rhs, senses)
         _assert_same_result(solve_dense(c, A, rhs, senses), want)
         statuses.add(want.status)
@@ -347,7 +350,7 @@ def test_restart_agrees_with_cold_solve(lp_pair):
 
 def test_restart_from_a_corrupted_tableau_runs_the_cold_solve(monkeypatch):
     p = lp.build_problem(make_toy(0))
-    A, rhs, senses, c, _offset, _free, _orig = lp._assemble(p)
+    A, rhs, senses, c = _block_lp(lp._assemble(p))
     start = solve_dense(c, A, rhs, senses)
     lowered = rhs.copy()
     lowered[-3:] = 0.0  # the bounds of the last three relaxed binaries
@@ -409,7 +412,7 @@ def _restart_case():
     """Toy 0's relaxed root, its optimal result, and its rhs with the
     bounds of the last three relaxed binaries lowered to 0."""
     p = lp.build_problem(make_toy(0))
-    A, rhs, senses, c, _offset, _free, _orig = lp._assemble(p)
+    A, rhs, senses, c = _block_lp(lp._assemble(p))
     lowered = rhs.copy()
     lowered[-3:] = 0.0
     return c, A, rhs, lowered, senses, solve_dense(c, A, rhs, senses)
