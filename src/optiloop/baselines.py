@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 from . import lp
 from .errors import BudgetExceeded, InstanceInfeasible
-from .loop import _assignment_problem, _binaries, _configuration, initial_solution, run_loop
+from .loop import (
+    _all_on_configuration,
+    _assignment_problem,
+    _binaries,
+    _configuration,
+    _memo_solve,
+    _run_loop,
+    _start_loop,
+    run_loop,
+)
 from .model import EnergyBreakdown, derive_logical_flows, energy_of
 
 __all__ = [
@@ -43,8 +52,16 @@ class StrategyResult:
 
 def all_active(s) -> StrategyResult:
     """Today's practice: every element on, flows routed by one LP solve."""
-    cfg = initial_solution(s)
-    return StrategyResult("all_active", cfg, energy_of(s, cfg), {"lp_solves": 1})
+    return _all_active(s, lp.build_problem(s), {})
+
+
+def _all_active(s, p, memo):
+    """``all_active`` on the built problem ``p`` of ``s``; its LP is solved
+    only when ``memo`` does not hold it already."""
+    held = len(memo)
+    cfg = _all_on_configuration(p, lambda q: _memo_solve(memo, q))
+    stats = {"lp_solves": len(memo) - held}
+    return StrategyResult("all_active", cfg, energy_of(s, cfg), stats)
 
 
 def relaxed_bound(s) -> float:
@@ -58,8 +75,17 @@ def relaxed_bound(s) -> float:
 
 def optiloop_strategy(s, seed=0, rounds=3) -> StrategyResult:
     """Adapter running the control loop as a benchmark strategy."""
-    state = run_loop(s, seed, rounds)
-    cfg = state.current
+    return _loop_result(run_loop(s, seed, rounds), rounds)
+
+
+def _optiloop_strategy(s, seed, rounds, p, memo):
+    """``optiloop_strategy`` on the built problem ``p`` of ``s``, solving
+    through ``memo``."""
+    return _loop_result(_run_loop(_start_loop(s, seed, p, memo), rounds), rounds)
+
+
+def _loop_result(state, rounds):
+    s, cfg = state.scenario, state.current
     return StrategyResult(
         "optiloop",
         cfg,
@@ -147,6 +173,11 @@ def consolidation(s) -> StrategyResult:
     connecting path.  Flows are then re-solved by one LP with the resulting
     binaries pinned.
     """
+    return _consolidation(s, lp.build_problem(s))
+
+
+def _consolidation(s, p):
+    """``consolidation`` with its LP posed on the built problem ``p`` of ``s``."""
     lg, pg = s.logical, s.physical
     active_nodes = set()
     active_links = set()
@@ -259,7 +290,6 @@ def consolidation(s) -> StrategyResult:
                 if ratio > 0.0:
                     pending.append((rank[v3], vtgt, chosen, vtgt, v3, amount * ratio))
 
-    p = lp.build_problem(s)
     b = _binaries(
         p,
         dict.fromkeys(active_links, 1),
@@ -300,6 +330,13 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
     ``budget`` caps the number of LP-evaluated assignments; exceeding it
     raises BudgetExceeded carrying the best (non-exact) result so far.
     """
+    return _exact_optimum(s, lp.build_problem(s), budget)
+
+
+def _exact_optimum(s, p, budget):
+    """``exact_optimum`` with its LPs posed on the built problem ``p`` of
+    ``s``.  Each LP is solved afresh: an enumeration can pose ``budget`` of
+    them."""
     lg, pg = s.logical, s.physical
     nodes = s.node_ids()
     vnfs = s.vnf_ids()
@@ -308,7 +345,6 @@ def exact_optimum(s, budget=200000) -> StrategyResult:
         raise BudgetExceeded(
             f"{len(nodes)} nodes is beyond exhaustive enumeration", best=None
         )
-    p = lp.build_problem(s)
     proc_units = _processing_units(s)
     proc_floor = em.proc_power_per_unit * proc_units
     demand_attach = {}

@@ -37,7 +37,9 @@ Every LP goes through ``_solve``, which remembers what this run has solved:
 a run never solves the same LP twice.  An adopted probe's LP is the next
 guidance LP, a repeated shutdown phase repeats its predecessor's solves, and
 a repair round opens on the pinned LP the previous phase closed on; all of
-these are memo hits.
+these are memo hits.  Runs started on one built problem may share one memo
+(``metrics.run_experiment`` does, per demand factor), and then none solves
+an LP another has solved.
 
 Probes with equal relaxed values run in column order (a stable sort).  All
 randomness comes from one seeded generator, so runs are bit-reproducible.
@@ -85,7 +87,9 @@ class LoopState:
     deactivations: int = 0
     telemetry: list = field(default_factory=list)
     # (id of constraints, bytes of pins, bytes of objective) -> (problem,
-    # solution) for every LP this run solved; holding the problem keeps its
+    # solution) for every LP solved through it: the dict the run was started
+    # with, which other runs on the same problem may share, until a demand
+    # swap gives the run a fresh one.  Holding the problem keeps its
     # constraints tuple, and so that id, alive.
     memo: dict = field(default_factory=dict)
 
@@ -236,9 +240,9 @@ def initial_solution(s):
     return _all_on_configuration(lp.build_problem(s), lp.solve)
 
 
-def _solve(state, phase, p, start=None):
-    """Solution of ``p``, solved and counted for ``phase`` only the first
-    time this run meets that LP.
+def _memo_solve(memo, p, start=None):
+    """Solution of ``p``, solved only when ``memo`` holds none for that LP;
+    a solve adds one entry to ``memo``, a hit adds none.
 
     A fresh solve passes ``start`` on to ``lp.solve``, which restarts from
     its frame when ``p`` allows, and returns the solution with its own
@@ -246,27 +250,40 @@ def _solve(state, phase, p, start=None):
     solution pins no tableau and a memo hit has no frame.
     """
     key = (id(p.constraints), p.pins.tobytes(), p.objective.tobytes())
-    if key in state.memo:
-        return state.memo[key][1]
+    if key in memo:
+        return memo[key][1]
     sol = lp.solve(p, start=start)
-    state.memo[key] = (p, replace(sol, frame=None))
-    state.count_solves(phase)
+    memo[key] = (p, replace(sol, frame=None))
     return sol
 
 
-def start_loop(s, seed):
+def _solve(state, phase, p, start=None):
+    """``_memo_solve`` through the run's memo, counting a solve for ``phase``."""
+    held = len(state.memo)
+    sol = _memo_solve(state.memo, p, start)
+    if len(state.memo) > held:
+        state.count_solves(phase)
+    return sol
+
+
+def _start_loop(s, seed, p, memo):
+    """``start_loop`` on the built problem ``p`` of ``s``, solving through
+    ``memo``."""
     state = LoopState(
         scenario=s,
         current=None,
         rng_seed=int(seed),
         rng=np.random.default_rng(int(seed)),
-        base_problem=lp.build_problem(s),
+        base_problem=p,
+        memo=memo,
     )
-    state.current = _all_on_configuration(
-        state.base_problem, lambda p: _solve(state, "initial", p)
-    )
+    state.current = _all_on_configuration(p, lambda q: _solve(state, "initial", q))
     _emit(state, "initial", energy_before=None, activated=[], deactivated=[])
     return state
+
+
+def start_loop(s, seed):
+    return _start_loop(s, seed, lp.build_problem(s), {})
 
 
 def _emit(state, phase, energy_before, activated, deactivated, solves=None, rejected=()):
@@ -463,7 +480,11 @@ def run_loop(s, seed, rounds, scenario_hook=None):
     repair phase.  The current configuration is re-validated at every
     phase boundary.
     """
-    state = start_loop(s, seed)
+    return _run_loop(start_loop(s, seed), rounds, scenario_hook)
+
+
+def _run_loop(state, rounds, scenario_hook=None):
+    """``run_loop``'s rounds on the started loop ``state``."""
     _check_invariant(state)
     for r in range(rounds):
         state.round_index = r
@@ -472,7 +493,9 @@ def run_loop(s, seed, rounds, scenario_hook=None):
             if swapped is not None and swapped is not state.scenario:
                 state.scenario = swapped
                 state.base_problem = lp.build_problem(swapped)
-                state.memo.clear()  # no LP of the old problem recurs
+                # No LP of the old problem recurs; a fresh dict leaves the
+                # old one to any run that shares it.
+                state.memo = {}
         fix_problems(state)
         _check_invariant(state)
         save_energy(state)

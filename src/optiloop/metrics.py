@@ -10,7 +10,9 @@ One MetricsRow per (strategy, demand factor, seed).  Reported quantities:
   injected traffic (0 with ``hops_defined=False`` when nothing is
   injected);
 * deployed instance counts per function, active element counts and the
-  number of LP solves the strategy needed.
+  number of LP solves the strategy performed: in ``run_experiment`` a cell
+  whose LPs an earlier cell of its demand factor solved reports fewer, while
+  every other column is as if the cell ran alone.
 
 CSV output is RFC 4180 (CRLF, fixed header) and byte-reproducible for a
 given configuration and seeds; wall-clock timing is therefore kept out of
@@ -21,7 +23,7 @@ import csv
 import time
 from dataclasses import dataclass
 
-from . import baselines
+from . import baselines, lp
 from .errors import BaselineMissing, ShapeMismatch
 from .model import spare_compute, total_ingress
 from .scenario import GeneratorParams, generate, load_scenario, scale_demand
@@ -147,12 +149,17 @@ class ExperimentConfig:
 
 
 # Strategy name -> (whether its result depends on the seed, runner taking
-# the scenario, the seed and the ExperimentConfig).
+# the scaled scenario, its built problem, the factor's solve memo, the seed
+# and the ExperimentConfig).  The exact enumeration stays off the memo: it
+# can pose oracle_budget LPs, which the memo would hold to the end.
 STRATEGIES = {
-    "all_active": (False, lambda s, seed, c: baselines.all_active(s)),
-    "consolidation": (False, lambda s, seed, c: baselines.consolidation(s)),
-    "optiloop": (True, lambda s, seed, c: baselines.optiloop_strategy(s, seed, c.rounds)),
-    "exact": (False, lambda s, seed, c: baselines.exact_optimum(s, c.oracle_budget)),
+    "all_active": (False, lambda s, p, memo, seed, c: baselines._all_active(s, p, memo)),
+    "consolidation": (False, lambda s, p, memo, seed, c: baselines._consolidation(s, p)),
+    "optiloop": (
+        True,
+        lambda s, p, memo, seed, c: baselines._optiloop_strategy(s, seed, c.rounds, p, memo),
+    ),
+    "exact": (False, lambda s, p, memo, seed, c: baselines._exact_optimum(s, p, c.oracle_budget)),
 }
 
 
@@ -162,6 +169,11 @@ def run_experiment(config: ExperimentConfig):
     Rows follow the configured strategy order, then factor order, then seed
     order, independent of execution details.  When ``config.out`` is set the
     rows are also written as CSV.
+
+    Each factor's scaled scenario is built into an LP once, and that LP and
+    one solve memo serve every strategy and seed of the factor.  A loop run
+    draws from its seed only to repair, and these runs start feasible and
+    stay so, so a later seed's LPs are memo hits.
     """
     if not set(config.strategies) <= STRATEGIES.keys():
         raise ShapeMismatch(f"unknown strategy in {config.strategies!r}")
@@ -170,13 +182,14 @@ def run_experiment(config: ExperimentConfig):
     else:
         base = generate(config.generator or GeneratorParams())
 
-    scaled = {}
+    shared = {}  # factor -> (scaled scenario, its problem, its solve memo)
     baseline_by_factor = {}
     cache = {}
     for f in config.factors:
-        scaled[f] = scale_demand(base, f) if f != 1.0 else base
+        s = scale_demand(base, f) if f != 1.0 else base
+        shared[f] = (s, lp.build_problem(s), {})
         t0 = time.perf_counter()
-        baseline_by_factor[f] = baselines.all_active(scaled[f])
+        baseline_by_factor[f] = baselines._all_active(*shared[f])
         cache[("all_active", f)] = (baseline_by_factor[f], time.perf_counter() - t0)
 
     rows = []
@@ -189,11 +202,11 @@ def run_experiment(config: ExperimentConfig):
                     result, elapsed = cache[key]
                 else:
                     t0 = time.perf_counter()
-                    result = runner(scaled[f], seed, config)
+                    result = runner(*shared[f], seed, config)
                     elapsed = time.perf_counter() - t0
                     cache[key] = (result, elapsed)
                 row = compute_metrics(
-                    scaled[f], result, baseline_by_factor[f], demand_factor=f, seed=seed
+                    shared[f][0], result, baseline_by_factor[f], demand_factor=f, seed=seed
                 )
                 row.wall_time = elapsed
                 rows.append(row)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import single_vnf_scenario
 from corpus import make_toy
+from optiloop import baselines, lp
 from optiloop.baselines import (
     all_active,
     consolidation,
@@ -78,6 +79,14 @@ def test_all_active_dominates_loop(vepc):
     # a small routing penalty for the zero-cost instances it sheds
     assert aa.energy.total <= ol.energy.total + 1.0
     assert validate_configuration(vepc, ol.configuration, tol=1e-6) == []
+
+
+def test_all_active_counts_only_the_solves_it_makes(vepc):
+    p, memo = lp.build_problem(vepc), {}
+    first = baselines._all_active(vepc, p, memo)
+    again = baselines._all_active(vepc, p, memo)  # its LP is in the memo now
+    assert (first.stats["lp_solves"], again.stats["lp_solves"]) == (1, 0)
+    assert again.energy == first.energy
 
 
 def test_all_active_infeasible_instance():

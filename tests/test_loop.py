@@ -20,6 +20,8 @@ from optiloop.loop import (
     _binaries,
     _configuration,
     _guidance,
+    _run_loop,
+    _start_loop,
     fix_problems,
     initial_solution,
     run_loop,
@@ -477,6 +479,26 @@ def test_demand_swap_drops_the_old_problems_solutions():
     current = state.base_problem.constraints
     assert state.memo
     assert all(p.constraints is current for p, _ in state.memo.values())
+
+
+def test_demand_swap_keeps_a_shared_memo():
+    s = make_toy(3)
+    p, memo = lp.build_problem(s), {}
+    _run_loop(_start_loop(s, 0, p, memo), rounds=1)
+    held = dict(memo)
+    assert held
+    state = _run_loop(
+        _start_loop(s, 1, p, memo),
+        rounds=3,
+        scenario_hook=lambda r, st: scale_demand(s, 1.3) if r == 1 else None,
+    )
+    assert state.base_problem is not p
+    assert state.memo is not memo  # the swap handed the run a fresh dict
+    assert all(memo.get(key) is entry for key, entry in held.items())
+    assert all(q.constraints is p.constraints for q, _ in memo.values())
+    current = state.base_problem.constraints
+    assert state.memo
+    assert all(q.constraints is current for q, _ in state.memo.values())
 
 
 def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from corpus import make_toy
 from optiloop.baselines import all_active, exact_optimum, optiloop_strategy
 import optiloop
-from optiloop import baselines, cli
+from optiloop import baselines, cli, iis, lp
 from optiloop.errors import (
     BaselineMissing,
     GenerationFailed,
@@ -27,7 +28,13 @@ from optiloop.metrics import (
     compute_metrics,
     run_experiment,
 )
-from optiloop.scenario import GeneratorParams, save_scenario, vepc_two_node
+from optiloop.scenario import (
+    GeneratorParams,
+    load_scenario,
+    save_scenario,
+    scale_demand,
+    vepc_two_node,
+)
 
 GIG = 1e9
 
@@ -122,19 +129,88 @@ def test_experiment_grid_and_ordering(tmp_path):
 
 def test_experiment_runs_all_active_once_per_factor(tmp_path, monkeypatch):
     calls = []
-    real = baselines.all_active
+    real = baselines._all_active
 
-    def spy(s):
+    def spy(s, p, memo):
         calls.append(s)
-        return real(s)
+        return real(s, p, memo)
 
-    monkeypatch.setattr(baselines, "all_active", spy)
+    monkeypatch.setattr(baselines, "_all_active", spy)
     rows = run_experiment(_experiment(tmp_path, strategies=("all_active",)))
     assert len(calls) == 3
     assert [(r.demand_factor, r.seed) for r in rows] == [
         (f, seed) for f in (0.5, 1.0, 2.0) for seed in (0, 1)
     ]
     assert all(r.lp_solves == 1 and r.savings_vs_all_active == 0.0 for r in rows)
+
+
+def test_shared_problem_and_memo_change_no_decision(tmp_path):
+    """Every row equals the row of its strategy run alone on a fresh
+    scenario, field for field except the solve count and the time."""
+    factors, seeds, rounds = (0.6, 1.0, 1.3), (0, 1, 2), 3
+    alone = {
+        "all_active": lambda s, seed: all_active(s),
+        "optiloop": lambda s, seed: optiloop_strategy(s, seed, rounds),
+        "exact": lambda s, seed: exact_optimum(s),
+    }
+    for toy in range(12):
+        path = tmp_path / f"toy{toy}.json"
+        save_scenario(make_toy(toy), path)
+        rows = run_experiment(ExperimentConfig(
+            scenario_path=str(path), strategies=tuple(alone), factors=factors,
+            seeds=seeds, rounds=rounds,
+        ))  # fmt: skip
+        assert len(rows) == len(alone) * len(factors) * len(seeds)
+        base = load_scenario(path)
+        for row in rows:
+            f = row.demand_factor
+            s = scale_demand(base, f) if f != 1.0 else base
+            want = compute_metrics(s, alone[row.strategy](s, row.seed), all_active(s), f, row.seed)
+            assert dataclasses.replace(row, lp_solves=0, wall_time=0.0) == dataclasses.replace(
+                want, lp_solves=0
+            ), (toy, row.strategy, f, row.seed)
+            if row.strategy == "optiloop" and row.seed > 0:
+                assert row.lp_solves == 0  # no repair: seed 0 solved every LP
+
+
+def test_experiment_solve_counts_match_solver_calls(tmp_path, monkeypatch):
+    """Under each strategy call the dense solves equal the result's
+    ``lp_solves``, and each demand factor's LP is built once."""
+    dense = [0]
+
+    def spy_dense(*args, real=lp.solve_dense, **kwargs):
+        dense[0] += 1
+        return real(*args, **kwargs)
+
+    for module in (lp, iis):
+        monkeypatch.setattr(module, "solve_dense", spy_dense)
+    builds = []
+
+    def spy_build(s, real=lp.build_problem):
+        builds.append(s)
+        return real(s)
+
+    monkeypatch.setattr(lp, "build_problem", spy_build)
+    calls = []
+    for core in ("_all_active", "_consolidation", "_optiloop_strategy", "_exact_optimum"):
+
+        def spy(*args, real=getattr(baselines, core)):
+            before = dense[0]
+            result = real(*args)
+            calls.append((result.name, dense[0] - before, result.stats["lp_solves"]))
+            return result
+
+        monkeypatch.setattr(baselines, core, spy)
+
+    config = _experiment(tmp_path)
+    rows = run_experiment(config)
+    n_factors, n_seeds = len(config.factors), len(config.seeds)
+    assert sorted(name for name, _, _ in calls) == sorted(
+        ["all_active", "consolidation", "exact"] * n_factors + ["optiloop"] * n_factors * n_seeds
+    )
+    assert [(made, reported) for _, made, reported in calls if made != reported] == []
+    assert len(builds) == n_factors + 1  # plus generate's validation build
+    assert [r.lp_solves for r in rows if r.strategy == "optiloop" and r.seed == 1] == [0] * 3
 
 
 def test_experiment_rows_satisfy_sandwich(tmp_path):

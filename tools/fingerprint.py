@@ -8,7 +8,10 @@ Imports optiloop from ``<checkout>/src`` and the toy instances from
 SHA-256 over their decisions followed by the total number of LP solves the
 control loop made.  Two checkouts decide identically when the hashes match.
 The hash leaves out every ``lp_solves`` count, so a change that only saves
-solves keeps the hash and shows on the second line.
+solves keeps the hash and shows on the second line.  That total includes
+the optiloop rows' ``lp_solves`` of the CLI sweep below, whose cells of one
+demand factor share an LP and a solve memo: a row counts only the solves
+no earlier cell of its factor made (0 on the second seed's rows).
 
 Given two checkouts, it compares their decisions by energy instead: each
 checkout runs the toy runs and the 2x4 strategies below in its own
