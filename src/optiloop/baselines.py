@@ -24,8 +24,6 @@ from .loop import (
     _binaries,
     _configuration,
     _memo_solve,
-    _run_loop,
-    _start_loop,
     run_loop,
 )
 from .model import EnergyBreakdown, derive_logical_flows, energy_of
@@ -50,14 +48,15 @@ class StrategyResult:
     stats: dict
 
 
-def all_active(s) -> StrategyResult:
-    """Today's practice: every element on, flows routed by one LP solve."""
-    return _all_active(s, lp.build_problem(s), {})
+def all_active(s, *, problem=None, memo=None) -> StrategyResult:
+    """Today's practice: every element on, flows routed by one LP solve.
 
-
-def _all_active(s, p, memo):
-    """``all_active`` on the built problem ``p`` of ``s``; its LP is solved
-    only when ``memo`` does not hold it already."""
+    ``problem`` is the built LP of ``s`` (built here when None).  The LP is
+    solved through ``memo`` (a fresh dict when None), so it is not solved
+    again when the memo already holds it.
+    """
+    p = lp.build_problem(s) if problem is None else problem
+    memo = {} if memo is None else memo
     held = len(memo)
     cfg = _all_on_configuration(p, lambda q: _memo_solve(memo, q))
     stats = {"lp_solves": len(memo) - held}
@@ -73,19 +72,11 @@ def relaxed_bound(s) -> float:
     return sol.objective_value
 
 
-def optiloop_strategy(s, seed=0, rounds=3) -> StrategyResult:
-    """Adapter running the control loop as a benchmark strategy."""
-    return _loop_result(run_loop(s, seed, rounds), rounds)
-
-
-def _optiloop_strategy(s, seed, rounds, p, memo):
-    """``optiloop_strategy`` on the built problem ``p`` of ``s``, solving
-    through ``memo``."""
-    return _loop_result(_run_loop(_start_loop(s, seed, p, memo), rounds), rounds)
-
-
-def _loop_result(state, rounds):
-    s, cfg = state.scenario, state.current
+def optiloop_strategy(s, seed=0, rounds=3, *, problem=None, memo=None) -> StrategyResult:
+    """Adapter running the control loop as a benchmark strategy;
+    ``problem`` and ``memo`` are passed to ``run_loop``."""
+    state = run_loop(s, seed, rounds, problem=problem, memo=memo)
+    cfg = state.current
     return StrategyResult(
         "optiloop",
         cfg,
@@ -162,7 +153,7 @@ def _bounce_path(s, node, usable):
     return best
 
 
-def consolidation(s) -> StrategyResult:
+def consolidation(s, *, problem=None) -> StrategyResult:
     """Three-stage packing heuristic.
 
     Every flow chunk, in endpoint order and chain-topological order, is
@@ -171,13 +162,9 @@ def consolidation(s) -> StrategyResult:
     active node with the most residual compute, else (3) onto the best node
     reachable over the full graph, activating the nodes and links of the
     connecting path.  Flows are then re-solved by one LP with the resulting
-    binaries pinned.
+    binaries pinned.  ``problem`` is the built LP of ``s`` (built here
+    when None).
     """
-    return _consolidation(s, lp.build_problem(s))
-
-
-def _consolidation(s, p):
-    """``consolidation`` with its LP posed on the built problem ``p`` of ``s``."""
     lg, pg = s.logical, s.physical
     active_nodes = set()
     active_links = set()
@@ -290,6 +277,7 @@ def _consolidation(s, p):
                 if ratio > 0.0:
                     pending.append((rank[v3], vtgt, chosen, vtgt, v3, amount * ratio))
 
+    p = lp.build_problem(s) if problem is None else problem
     b = _binaries(
         p,
         dict.fromkeys(active_links, 1),
@@ -324,19 +312,15 @@ def _processing_units(s):
     return units
 
 
-def exact_optimum(s, budget=200000) -> StrategyResult:
+def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
     """Minimum-energy binary assignment, exact within LP tolerance.
 
     ``budget`` caps the number of LP-evaluated assignments; exceeding it
     raises BudgetExceeded carrying the best (non-exact) result so far.
+    ``problem`` is the built LP of ``s`` (built here when None).  Each LP
+    is solved afresh, through no memo: an enumeration can pose ``budget``
+    of them.
     """
-    return _exact_optimum(s, lp.build_problem(s), budget)
-
-
-def _exact_optimum(s, p, budget):
-    """``exact_optimum`` with its LPs posed on the built problem ``p`` of
-    ``s``.  Each LP is solved afresh: an enumeration can pose ``budget`` of
-    them."""
     lg, pg = s.logical, s.physical
     nodes = s.node_ids()
     vnfs = s.vnf_ids()
@@ -345,6 +329,7 @@ def _exact_optimum(s, p, budget):
         raise BudgetExceeded(
             f"{len(nodes)} nodes is beyond exhaustive enumeration", best=None
         )
+    p = lp.build_problem(s) if problem is None else problem
     proc_units = _processing_units(s)
     proc_floor = em.proc_power_per_unit * proc_units
     demand_attach = {}

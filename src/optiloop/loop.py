@@ -266,24 +266,24 @@ def _solve(state, phase, p, start=None):
     return sol
 
 
-def _start_loop(s, seed, p, memo):
-    """``start_loop`` on the built problem ``p`` of ``s``, solving through
-    ``memo``."""
+def start_loop(s, seed, *, problem=None, memo=None):
+    """A loop state holding the all-on configuration of ``s``.
+
+    ``problem`` is the built LP of ``s`` (built here when None) and ``memo``
+    the dict its LPs are solved through (a fresh one when None).
+    """
+    p = lp.build_problem(s) if problem is None else problem
     state = LoopState(
         scenario=s,
         current=None,
         rng_seed=int(seed),
         rng=np.random.default_rng(int(seed)),
         base_problem=p,
-        memo=memo,
+        memo={} if memo is None else memo,
     )
     state.current = _all_on_configuration(p, lambda q: _solve(state, "initial", q))
     _emit(state, "initial", energy_before=None, activated=[], deactivated=[])
     return state
-
-
-def start_loop(s, seed):
-    return _start_loop(s, seed, lp.build_problem(s), {})
 
 
 def _emit(state, phase, energy_before, activated, deactivated, solves=None, rejected=()):
@@ -472,19 +472,15 @@ def _check_invariant(state):
         )
 
 
-def run_loop(s, seed, rounds, scenario_hook=None):
+def run_loop(s, seed, rounds, scenario_hook=None, *, problem=None, memo=None):
     """initial solution, then ``rounds`` of repair-then-save.
 
     ``scenario_hook(round_index, state)`` may return a replacement Scenario
     (e.g. with rescaled demand) that takes effect before that round's
     repair phase.  The current configuration is re-validated at every
-    phase boundary.
+    phase boundary.  ``problem`` and ``memo`` are passed to ``start_loop``.
     """
-    return _run_loop(start_loop(s, seed), rounds, scenario_hook)
-
-
-def _run_loop(state, rounds, scenario_hook=None):
-    """``run_loop``'s rounds on the started loop ``state``."""
+    state = start_loop(s, seed, problem=problem, memo=memo)
     _check_invariant(state)
     for r in range(rounds):
         state.round_index = r

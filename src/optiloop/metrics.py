@@ -151,15 +151,23 @@ class ExperimentConfig:
 # Strategy name -> (whether its result depends on the seed, runner taking
 # the scaled scenario, its built problem, the factor's solve memo, the seed
 # and the ExperimentConfig).  The exact enumeration stays off the memo: it
-# can pose oracle_budget LPs, which the memo would hold to the end.
+# can pose oracle_budget LPs, which the memo would hold.
 STRATEGIES = {
-    "all_active": (False, lambda s, p, memo, seed, c: baselines._all_active(s, p, memo)),
-    "consolidation": (False, lambda s, p, memo, seed, c: baselines._consolidation(s, p)),
+    "all_active": (
+        False,
+        lambda s, p, memo, seed, c: baselines.all_active(s, problem=p, memo=memo),
+    ),
+    "consolidation": (False, lambda s, p, memo, seed, c: baselines.consolidation(s, problem=p)),
     "optiloop": (
         True,
-        lambda s, p, memo, seed, c: baselines._optiloop_strategy(s, seed, c.rounds, p, memo),
+        lambda s, p, memo, seed, c: baselines.optiloop_strategy(
+            s, seed, c.rounds, problem=p, memo=memo
+        ),
     ),
-    "exact": (False, lambda s, p, memo, seed, c: baselines._exact_optimum(s, p, c.oracle_budget)),
+    "exact": (
+        False,
+        lambda s, p, memo, seed, c: baselines.exact_optimum(s, c.oracle_budget, problem=p),
+    ),
 }
 
 
@@ -182,14 +190,14 @@ def run_experiment(config: ExperimentConfig):
     else:
         base = generate(config.generator or GeneratorParams())
 
-    shared = {}  # factor -> (scaled scenario, its problem, its solve memo)
+    scaled, problems, memos = {}, {}, {}
     baseline_by_factor = {}
     cache = {}
     for f in config.factors:
-        s = scale_demand(base, f) if f != 1.0 else base
-        shared[f] = (s, lp.build_problem(s), {})
+        scaled[f] = scale_demand(base, f) if f != 1.0 else base
+        problems[f], memos[f] = lp.build_problem(scaled[f]), {}
         t0 = time.perf_counter()
-        baseline_by_factor[f] = baselines._all_active(*shared[f])
+        baseline_by_factor[f] = baselines.all_active(scaled[f], problem=problems[f], memo=memos[f])
         cache[("all_active", f)] = (baseline_by_factor[f], time.perf_counter() - t0)
 
     rows = []
@@ -202,14 +210,18 @@ def run_experiment(config: ExperimentConfig):
                     result, elapsed = cache[key]
                 else:
                     t0 = time.perf_counter()
-                    result = runner(*shared[f], seed, config)
+                    result = runner(scaled[f], problems[f], memos[f], seed, config)
                     elapsed = time.perf_counter() - t0
                     cache[key] = (result, elapsed)
                 row = compute_metrics(
-                    shared[f][0], result, baseline_by_factor[f], demand_factor=f, seed=seed
+                    scaled[f], result, baseline_by_factor[f], demand_factor=f, seed=seed
                 )
                 row.wall_time = elapsed
                 rows.append(row)
+            if name == "optiloop":
+                # all_active ran above, so no later cell reads this memo:
+                # let its LPs go.
+                memos[f] = {}
 
     if config.out:
         write_csv(rows, config.out, include_timings=config.include_timings)

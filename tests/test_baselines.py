@@ -83,8 +83,8 @@ def test_all_active_dominates_loop(vepc):
 
 def test_all_active_counts_only_the_solves_it_makes(vepc):
     p, memo = lp.build_problem(vepc), {}
-    first = baselines._all_active(vepc, p, memo)
-    again = baselines._all_active(vepc, p, memo)  # its LP is in the memo now
+    first = all_active(vepc, problem=p, memo=memo)
+    again = all_active(vepc, problem=p, memo=memo)  # its LP is in the memo now
     assert (first.stats["lp_solves"], again.stats["lp_solves"]) == (1, 0)
     assert again.energy == first.energy
 
@@ -253,6 +253,15 @@ def test_exact_budget_exceeded_carries_best(vepc):
     assert err.value.assignments == 1
     if err.value.best is not None:
         assert err.value.best.stats["exact"] is False
+
+
+def test_exact_rejects_too_many_nodes_before_building(vepc, monkeypatch):
+    builds = []
+    monkeypatch.setattr(lp, "build_problem", lambda s: builds.append(s))
+    monkeypatch.setattr(baselines, "ENUMERABLE_NODES", len(vepc.node_ids()) - 1)
+    with pytest.raises(BudgetExceeded):
+        exact_optimum(vepc)
+    assert builds == []
 
 
 def test_exact_golden_regression(vepc):

@@ -20,8 +20,6 @@ from optiloop.loop import (
     _binaries,
     _configuration,
     _guidance,
-    _run_loop,
-    _start_loop,
     fix_problems,
     initial_solution,
     run_loop,
@@ -484,13 +482,16 @@ def test_demand_swap_drops_the_old_problems_solutions():
 def test_demand_swap_keeps_a_shared_memo():
     s = make_toy(3)
     p, memo = lp.build_problem(s), {}
-    _run_loop(_start_loop(s, 0, p, memo), rounds=1)
+    run_loop(s, 0, rounds=1, problem=p, memo=memo)
     held = dict(memo)
     assert held
-    state = _run_loop(
-        _start_loop(s, 1, p, memo),
+    state = run_loop(
+        s,
+        1,
         rounds=3,
         scenario_hook=lambda r, st: scale_demand(s, 1.3) if r == 1 else None,
+        problem=p,
+        memo=memo,
     )
     assert state.base_problem is not p
     assert state.memo is not memo  # the swap handed the run a fresh dict

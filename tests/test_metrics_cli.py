@@ -129,13 +129,13 @@ def test_experiment_grid_and_ordering(tmp_path):
 
 def test_experiment_runs_all_active_once_per_factor(tmp_path, monkeypatch):
     calls = []
-    real = baselines._all_active
+    real = baselines.all_active
 
-    def spy(s, p, memo):
+    def spy(s, **kwargs):
         calls.append(s)
-        return real(s, p, memo)
+        return real(s, **kwargs)
 
-    monkeypatch.setattr(baselines, "_all_active", spy)
+    monkeypatch.setattr(baselines, "all_active", spy)
     rows = run_experiment(_experiment(tmp_path, strategies=("all_active",)))
     assert len(calls) == 3
     assert [(r.demand_factor, r.seed) for r in rows] == [
@@ -175,7 +175,8 @@ def test_shared_problem_and_memo_change_no_decision(tmp_path):
 
 def test_experiment_solve_counts_match_solver_calls(tmp_path, monkeypatch):
     """Under each strategy call the dense solves equal the result's
-    ``lp_solves``, and each demand factor's LP is built once."""
+    ``lp_solves``, and under each loop run its ``total_solves()``; each
+    demand factor's LP is built once."""
     dense = [0]
 
     def spy_dense(*args, real=lp.solve_dense, **kwargs):
@@ -192,15 +193,24 @@ def test_experiment_solve_counts_match_solver_calls(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lp, "build_problem", spy_build)
     calls = []
-    for core in ("_all_active", "_consolidation", "_optiloop_strategy", "_exact_optimum"):
+    for name in ("all_active", "consolidation", "optiloop_strategy", "exact_optimum"):
 
-        def spy(*args, real=getattr(baselines, core)):
+        def spy(*args, real=getattr(baselines, name), **kwargs):
             before = dense[0]
-            result = real(*args)
+            result = real(*args, **kwargs)
             calls.append((result.name, dense[0] - before, result.stats["lp_solves"]))
             return result
 
-        monkeypatch.setattr(baselines, core, spy)
+        monkeypatch.setattr(baselines, name, spy)
+    loops = []
+
+    def spy_loop(*args, real=baselines.run_loop, **kwargs):
+        before = dense[0]
+        state = real(*args, **kwargs)
+        loops.append((dense[0] - before, state.total_solves()))
+        return state
+
+    monkeypatch.setattr(baselines, "run_loop", spy_loop)
 
     config = _experiment(tmp_path)
     rows = run_experiment(config)
@@ -209,6 +219,8 @@ def test_experiment_solve_counts_match_solver_calls(tmp_path, monkeypatch):
         ["all_active", "consolidation", "exact"] * n_factors + ["optiloop"] * n_factors * n_seeds
     )
     assert [(made, reported) for _, made, reported in calls if made != reported] == []
+    assert len(loops) == n_factors * n_seeds
+    assert [(made, reported) for made, reported in loops if made != reported] == []
     assert len(builds) == n_factors + 1  # plus generate's validation build
     assert [r.lp_solves for r in rows if r.strategy == "optiloop" and r.seed == 1] == [0] * 3
 
