@@ -7,12 +7,18 @@ one sweep form a minimal IIS (Chinneck & Dravnieks, ORSA J. Computing
 1991).  Variable bounds and fixings are part of the system and are never
 deleted.
 
-Two speedups keep this affordable inside the repair loop:
+Two speedups keep this affordable:
 
 * the phase-one duals of the failed solve form a Farkas certificate whose
   support already is an infeasible subsystem; deletion starts from that
   subset whenever it verifies as infeasible;
 * feasibility-only solves skip the optimization phase.
+
+The repair loop needs only the families of an infeasible subsystem, not a
+minimal one: with ``minimal=False`` the verified support is reported as it
+is, after its one verifying solve, and the sweep runs only when no support
+verifies.  The support contains an IIS (Gleeson & Ryan, ORSA J. Computing
+1990), so every family of some IIS in it is reported.
 
 Deletion order is deterministic, sweeping the actionable families (link
 capacity, compute capacity) last so they survive whenever several IISes
@@ -36,7 +42,11 @@ _DELETION_ORDER = {fam: rank for rank, fam in enumerate((1, 2, 3, 5, 6, 8, 9, 4,
 
 @dataclass(frozen=True)
 class IisReport:
-    """Constraint ids forming the IIS plus the equation families present."""
+    """Constraint ids forming the IIS plus the equation families present.
+
+    From ``compute_iis(..., minimal=False)`` the ids may instead form a
+    verified Farkas support: an infeasible subsystem that contains an IIS.
+    """
 
     constraint_ids: tuple
     families: frozenset
@@ -68,7 +78,7 @@ def _feasible(p, rows, block=None):
     return res.status != "infeasible"
 
 
-def compute_iis(p, solution=None):
+def compute_iis(p, solution=None, *, minimal=True):
     """Extract one deterministic IIS from an infeasible problem.
 
     ``solution`` is ``lp.solve(p)`` when the caller already has it; the
@@ -78,7 +88,11 @@ def compute_iis(p, solution=None):
 
     Raises NotInfeasible when the problem solves.  The result is minimal:
     removing any single reported constraint leaves a feasible remainder
-    (given the problem's variable bounds).
+    (given the problem's variable bounds).  With ``minimal=False`` the
+    certificate's support, once verified infeasible, is returned without
+    the deletion sweep; it contains an IIS but need not be one.  Without
+    ``row_duals``, or when the support is every row or solves, the sweep
+    runs and the result is minimal all the same.
     """
     solves = 0
     if solution is None:
@@ -112,6 +126,8 @@ def compute_iis(p, solution=None):
             solves += 1
             if not _feasible(p, sorted(support), block):
                 kept = [r for r in ordered if r in support]
+                if not minimal:
+                    return _report(cids, kept, solves)
 
     # Row-level deletion sweep.
     for r in list(kept):
@@ -120,6 +136,9 @@ def compute_iis(p, solution=None):
         if not _feasible(p, sorted(trial), block):
             kept = trial
 
-    ids = tuple(sorted(cids[r] for r in kept))
-    families = frozenset(cid[0] for cid in ids)
-    return IisReport(ids, families, solves)
+    return _report(cids, kept, solves)
+
+
+def _report(cids, rows, solves):
+    ids = tuple(sorted(cids[r] for r in rows))
+    return IisReport(ids, frozenset(cid[0] for cid in ids), solves)

@@ -13,11 +13,15 @@ Each round then runs two procedures:
 
 * ``fix_problems`` repairs a configuration that no longer fits the demand:
   solve with all binaries pinned; while infeasible, look at which
-  constraint family sits in the IIS.  Link capacity present: relax the
-  inactive link/node binaries, solve, and activate one link drawn with
-  probability proportional to its relaxed value (plus its node ends).
-  Compute capacity present: same with node/placement binaries, activating
-  one (node, function) pair drawn proportionally to its relaxed value.
+  constraint families sit in the support of the solve's Farkas
+  certificate, once one solve has verified that support infeasible (an
+  infeasible subsystem containing an IIS; ``compute_iis(minimal=False)``,
+  which falls back to the minimal IIS when no support verifies).  Link
+  capacity present: relax the inactive link/node binaries, solve, and
+  activate one link drawn with probability proportional to its relaxed
+  value (plus its node ends).  Compute capacity present: same with
+  node/placement binaries, activating one (node, function) pair drawn
+  proportionally to its relaxed value.
 
 * ``save_energy`` hunts for shutdowns among the active elements that draw
   fixed power (nodes, and placements when instance power is positive):
@@ -305,7 +309,7 @@ def _emit(state, phase, energy_before, activated, deactivated, solves=None, reje
 # ---------------------------------------------------------------------------
 # fix_problems
 
-# Repair actions in the order they run: the IIS family that calls for one,
+# Repair actions in the order they run: the reported family that calls for one,
 # the binary kind it switches on, and what its guidance LP relaxes.
 _REPAIRS = ((4, "x", {"x": 0, "y": 0}), (7, "delta", {"delta": 0, "y": 0}))
 
@@ -327,7 +331,7 @@ def fix_problems(state):
         sol = _solve(state, "fix_problems", fixed_p)
         if sol.status == "optimal":
             break
-        report = compute_iis(fixed_p, sol)
+        report = compute_iis(fixed_p, sol, minimal=False)
         state.count_solves("fix_problems", report.solves)
         before = len(activated)
 

@@ -144,6 +144,52 @@ def test_loop_solution_saves_the_opening_solve():
             assert given.solves == fresh.solves - 1
 
 
+def test_non_minimal_report_is_the_verified_support():
+    # The loop's call: one solve verifies the certificate's support, which
+    # contains the minimal IIS and so carries its actionable families.
+    for seed in range(50):
+        for maker in (make_capacity_starved, make_compute_starved):
+            fp = _all_on_problem(maker(seed))
+            minimal = compute_iis(fp)
+            report = compute_iis(fp, lp.solve(fp), minimal=False)
+            id_to_row = {con.cid: r for r, con in enumerate(fp.constraints)}
+            assert not _feasible(fp, sorted(id_to_row[cid] for cid in report.constraint_ids))
+            assert set(minimal.constraint_ids) <= set(report.constraint_ids)
+            assert report.families & {4, 7} == minimal.families & {4, 7}
+            assert report.solves == 1
+
+
+def test_non_minimal_report_falls_back_to_the_sweep(monkeypatch):
+    # Without a verified support there is nothing to stop at: the sweep runs
+    # and the report is the one the default call gives on the same inputs,
+    # with the IIS of ``compute_iis(fp)`` (its solves count the opening solve
+    # and a sweep over the support alone).
+    real = iis._feasible
+    calls = []
+
+    def support_solves(p, rows, block=None):
+        calls.append(rows)
+        return len(calls) == 1 or real(p, rows, block)
+
+    for seed in range(3):
+        for maker in (make_capacity_starved, make_compute_starved):
+            fp = _all_on_problem(maker(seed))
+            iis_ids = compute_iis(fp).constraint_ids
+            sol = lp.solve(fp)
+            no_duals = replace(sol, row_duals=None)
+            report = compute_iis(fp, no_duals, minimal=False)
+            assert report == compute_iis(fp, no_duals)
+            assert report.constraint_ids == iis_ids
+            with monkeypatch.context() as m:
+                m.setattr(iis, "_feasible", support_solves)
+                calls.clear()
+                swept = compute_iis(fp, sol, minimal=False)
+                calls.clear()
+                assert swept == compute_iis(fp, sol)
+            assert swept.constraint_ids == iis_ids
+            assert swept.solves == len(fp.constraints) + 1
+
+
 def test_deterministic_output():
     fp = _all_on_problem(make_compute_starved(1))
     r1 = compute_iis(fp)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import single_vnf_scenario
 from corpus import make_toy
-from optiloop import loop, lp, simplex
+from optiloop import iis, loop, lp, simplex
 from optiloop.errors import InstanceInfeasible, InvariantBroken, RepairDiverged
 from optiloop.iis import IisReport, _feasible
 from optiloop.loop import (
@@ -292,11 +292,73 @@ def test_repair_without_actionable_family_diverges(monkeypatch):
     monkeypatch.setattr(
         loop,
         "compute_iis",
-        lambda p, solution=None: IisReport(((1, ("m1",)),), frozenset({1}), 3),
+        lambda p, solution=None, *, minimal=True: IisReport(((1, ("m1",)),), frozenset({1}), 3),
     )
     with pytest.raises(RepairDiverged, match=r"IIS families \[1\]"):
         fix_problems(state)
     assert state.lp_solves["fix_problems"] == 4
+
+
+def test_repair_from_the_certificate_decides_as_the_minimal_iis(monkeypatch):
+    # The loop reads only the families of its report; the verified support
+    # must lead to the same decisions as the minimal IIS, with fewer solves.
+    # Every solve of a repair phase is one ``solve_dense`` call, in ``lp``
+    # or in ``iis``, and counted in the phase's ``lp_solves``.
+    real_fix, real_dense = loop.fix_problems, simplex.solve_dense
+    dense_calls = [0]
+    phases = []  # (solve_dense calls, lp_solves increase) per repair phase
+
+    def spy_dense(*args, **kwargs):
+        dense_calls[0] += 1
+        return real_dense(*args, **kwargs)
+
+    def spy_fix(state):
+        calls, solves = dense_calls[0], state.lp_solves.get("fix_problems", 0)
+        try:
+            return real_fix(state)
+        finally:
+            phases.append((
+                dense_calls[0] - calls, state.lp_solves.get("fix_problems", 0) - solves
+            ))
+
+    def minimal_sweep(p, solution=None, *, minimal=True):
+        return iis.compute_iis(p, solution)
+
+    monkeypatch.setattr(lp, "solve_dense", spy_dense)
+    monkeypatch.setattr(iis, "solve_dense", spy_dense)
+    monkeypatch.setattr(loop, "fix_problems", spy_fix)
+
+    def outcomes():
+        runs = []
+        for toy in range(12):
+            s = make_toy(toy)
+            for seed in (0, 1):
+                for factor in (1.6, 3.0):
+                    hook = lambda r, st, s=s, factor=factor: (
+                        scale_demand(s, factor) if r == 1 else None)
+                    try:
+                        state = run_loop(s, seed=seed, rounds=2, scenario_hook=hook)
+                    except (InstanceInfeasible, RepairDiverged) as exc:
+                        runs.append(type(exc))
+                        continue
+                    cfg = state.current
+                    telemetry = [
+                        {k: v for k, v in rec.items() if k != "lp_solves"}
+                        for rec in state.telemetry
+                    ]
+                    runs.append((cfg.x, cfg.y, cfg.delta, cfg.tau, telemetry))
+        return runs
+
+    certified = outcomes()
+    first_pass = len(phases)
+    with monkeypatch.context() as m:
+        m.setattr(loop, "compute_iis", minimal_sweep)
+        swept = outcomes()
+    assert certified == swept
+    assert len(phases) == 2 * first_pass
+    assert all(calls == solves for calls, solves in phases), phases
+    certified_solves = sum(solves for _, solves in phases[:first_pass])
+    assert certified_solves < sum(solves for _, solves in phases[first_pass:])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,11 @@ and ``make_compute_starved`` for seeds 0-49; each enters as its
 are their hash and inner-solve total.
 
 The fifth line splits the toy runs' LP solves by loop phase, so a change in
-the total on the second line shows where it comes from.
+the total on the second line shows where it comes from.  Its
+``fix_problems`` count includes the loop's IIS solves: one per repair whose
+Farkas certificate's support verifies (``compute_iis(..., minimal=False)``),
+so the count falls against a loop that runs the deletion sweep (510 against
+2,807).  The IIS cases above call the default, minimal ``compute_iis``.
 
 The sixth line is the total ``SimplexResult.iterations`` over every
 ``solve_dense`` call the cases above make, counted by a spy wrapped around
