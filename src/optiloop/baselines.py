@@ -318,8 +318,9 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
     ``budget`` caps the number of LP-evaluated assignments; exceeding it
     raises BudgetExceeded carrying the best (non-exact) result so far.
     ``problem`` is the built LP of ``s`` (built here when None).  Each LP
-    is solved afresh, through no memo: an enumeration can pose ``budget``
-    of them.
+    is solved through no memo, since an enumeration can pose ``budget`` of
+    them, and restarts from the previous optimum: assignments differ only
+    in pinned binaries, so every restart is dual feasible.
     """
     lg, pg = s.logical, s.physical
     nodes = s.node_ids()
@@ -341,6 +342,7 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
                     demand_attach[e].add(j)
 
     state = {"best": None, "best_obj": float("inf"), "assignments": 0, "pruned": 0}
+    last = None  # the latest optimum, which the next solve restarts from
 
     def finish(found, exact):
         cfg = _configuration(p, *found)
@@ -411,9 +413,10 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
             b = _binaries(
                 p, links_for(active), dict.fromkeys(active, 1), dict.fromkeys(chosen, 1)
             )
-            sol = lp.solve(_assignment_problem(p, b))
+            sol = lp.solve(_assignment_problem(p, b), start=last)
             if sol.status != "optimal":
                 continue
+            last = sol
             if sol.objective_value < state["best_obj"] - 1e-9:
                 state["best_obj"] = sol.objective_value
                 state["best"] = (b, sol)

@@ -59,12 +59,15 @@ class BaselineMissing(OptiloopError):
 
 
 class InvariantBroken(OptiloopError):
-    """The control loop reached a state its own construction rules out.
+    """The control loop or the solver reached a state its own construction
+    rules out.
 
     Raised when a phase boundary finds the current configuration violating
     a constraint, when an accepted shutdown raised the energy at held
-    flows, or when the shutdown guidance LP of a feasible point came back
-    infeasible.  Any of these is a defect in the loop or the solver, not
+    flows, when the shutdown guidance LP of a feasible point came back
+    infeasible, or when ``lp.solve`` would return a point that breaks a
+    row, divided by its largest coefficient, by more than the simplex's
+    ``FEAS_TOL``.  Any of these is a defect in the loop or the solver, not
     in the instance.
     """
 

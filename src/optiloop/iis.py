@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInfeasible
-from .lp import _assemble, solve
+from .lp import _assemble, _bounds, solve
 from .simplex import solve_dense
 
 __all__ = ["IisReport", "compute_iis"]
@@ -56,25 +56,21 @@ class IisReport:
         return family in self.families
 
 
-def _feasible(p, rows, block=None):
-    """Whether the constraints ``rows`` of ``p`` and its variable bounds
-    admit a point.  ``block`` is ``_assemble(p)``, when the caller tests
-    many subsets of one problem.
+def _feasible(p, rows):
+    """Whether the constraints ``rows`` of ``p`` and its column bounds admit
+    a point.
 
-    Each row of the block is built from its own terms, so the rows kept
-    here equal those ``_assemble`` builds for the subset alone.
+    The rows are those of ``p``'s block, which ``lp`` assembles once per
+    base problem; each row of it is built from its own terms, so the rows
+    posed here equal those the subset alone assembles to.
     """
-    b = block or _assemble(p)
-    # One entry per constraint, then a set one that every bound row reads:
-    # its name ``-1 - col`` is clipped to -1.
-    wanted = np.zeros(len(p.constraints) + 1, dtype=bool)
-    wanted[np.asarray(rows, dtype=np.intp)] = True
-    wanted[-1] = True
-    keep = wanted[np.maximum(b.rows, -1)]
+    b = _assemble(p)
+    rows = np.asarray(rows, dtype=np.intp)
+    lo, hi = _bounds(p)
     res = solve_dense(
-        b.c, b.A[keep], b.rhs[keep], [s for s, k in zip(b.senses, keep.tolist()) if k],
-        feasibility_only=True,
-    )
+        p.objective, b.A[rows], b.rhs[rows], [b.senses[r] for r in rows.tolist()],
+        feasibility_only=True, lo=lo, hi=hi,
+    )  # fmt: skip
     return res.status != "infeasible"
 
 
@@ -106,7 +102,6 @@ def compute_iis(p, solution=None, *, minimal=True):
         range(len(cids)), key=lambda r: (_DELETION_ORDER[cids[r][0]], cids[r][1])
     )
     kept = ordered
-    block = _assemble(p)
 
     # Farkas prefilter: restrict attention to the certificate's support when
     # that support is itself infeasible.  Processing caps are substitutable
@@ -124,7 +119,7 @@ def compute_iis(p, solution=None, *, minimal=True):
                 support.add(twin)
         if support and len(support) < len(kept):
             solves += 1
-            if not _feasible(p, sorted(support), block):
+            if not _feasible(p, sorted(support)):
                 kept = [r for r in ordered if r in support]
                 if not minimal:
                     return _report(cids, kept, solves)
@@ -133,7 +128,7 @@ def compute_iis(p, solution=None, *, minimal=True):
     for r in list(kept):
         trial = [q for q in kept if q != r]
         solves += 1
-        if not _feasible(p, sorted(trial), block):
+        if not _feasible(p, sorted(trial)):
             kept = trial
 
     return _report(cids, kept, solves)

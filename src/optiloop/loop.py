@@ -31,11 +31,7 @@ Each round then runs two procedures:
   probe is adopted and the hunt restarts; the phase ends when every such
   element still on has been probed and rejected.  Links and unpowered
   placements draw no fixed power, so switching one off can only lengthen
-  routes; they go off only with their nodes.  A probe is its guide's LP
-  with some relaxed binaries pinned to 0, which moves only right-hand
-  sides, so it restarts from the guide's final tableau (``lp.solve``'s
-  ``start``).  The phase holds that frame from the guide's own solve, or
-  from the adopted probe, whose LP is the next guide.
+  routes; they go off only with their nodes.
 
 Every LP goes through ``_solve``, which remembers what this run has solved:
 a run never solves the same LP twice.  An adopted probe's LP is the next
@@ -44,6 +40,18 @@ a repair round opens on the pinned LP the previous phase closed on; all of
 these are memo hits.  Runs started on one built problem may share one memo
 (``metrics.run_experiment`` does, per demand factor), and then none solves
 an LP another has solved.
+
+Every LP of a run is its base problem with other pins and, for the guides,
+tie-break costs, so every fresh solve restarts from an earlier optimum of
+the run (``lp.solve``'s ``start``; ``_solve``): an LP that pins every
+binary from the latest such optimum, which is a few dual pivots away, and
+any other LP from the latest optimum.  A shutdown guide is then the pinned
+LP before it with the active binaries widened to [0, 1], so a primal
+simplex continues from there, and a probe is its guide with some of them
+pinned to 0, which a dual simplex repairs.  ``LoopState`` holds those two
+solutions with their frames; besides them, only the memo's first entry,
+the all-on assignment every run opens on, keeps a frame
+(``_memo_solve``).
 
 Probes with equal relaxed values run in column order (a stable sort).  All
 randomness comes from one seeded generator, so runs are bit-reproducible.
@@ -96,6 +104,11 @@ class LoopState:
     # swap gives the run a fresh one.  Holding the problem keeps its
     # constraints tuple, and so that id, alive.
     memo: dict = field(default_factory=dict)
+    # The latest solution holding a frame that this run met (its latest
+    # fresh optimum, or the memo's first entry, see ``_memo_solve``), and
+    # the latest such solution of an LP that pins every binary; see ``_solve``.
+    start: lp.LpSolution = None
+    pinned_start: lp.LpSolution = None
 
     def count_solves(self, phase, n=1):
         self.lp_solves[phase] = self.lp_solves.get(phase, 0) + n
@@ -250,23 +263,43 @@ def _memo_solve(memo, p, start=None):
 
     A fresh solve passes ``start`` on to ``lp.solve``, which restarts from
     its frame when ``p`` allows, and returns the solution with its own
-    frame.  The memo keeps every solution without its frame, so a stored
-    solution pins no tableau and a memo hit has no frame.
+    frame.  The memo keeps its first entry with the frame and every later
+    one without, so it pins one tableau.  Every run through one memo opens
+    on the same LP, the all-on assignment, so a run whose opening solve is
+    a hit restarts its next solve from the frame the run that solved it
+    had.
     """
     key = (id(p.constraints), p.pins.tobytes(), p.objective.tobytes())
     if key in memo:
         return memo[key][1]
     sol = lp.solve(p, start=start)
-    memo[key] = (p, replace(sol, frame=None))
+    memo[key] = (p, replace(sol, frame=None) if memo else sol)
     return sol
 
 
-def _solve(state, phase, p, start=None):
-    """``_memo_solve`` through the run's memo, counting a solve for ``phase``."""
+def _solve(state, phase, p):
+    """``_memo_solve`` through the run's memo, counting a solve for
+    ``phase``.
+
+    A fresh solve of an LP that pins every binary restarts from
+    ``state.pinned_start``, and any other from ``state.start`` (also a
+    pinned one while the run has no pinned start).  The tableau of an
+    optimum with every binary pinned stays sparse, and from it the next
+    pinned LP, which only moves some pins, is a few dual pivots away; from
+    a relaxed LP's optimum the dual simplex first has to pivot every
+    fractional binary out, on rows of that much denser tableau.  Any
+    solution holding a frame becomes the start of its kind.
+    """
     held = len(state.memo)
+    pinned = not (p.pins < 0).any()
+    start = state.pinned_start if pinned and state.pinned_start else state.start
     sol = _memo_solve(state.memo, p, start)
     if len(state.memo) > held:
         state.count_solves(phase)
+    if sol.frame is not None:
+        state.start = sol
+        if pinned:
+            state.pinned_start = sol
     return sol
 
 
@@ -402,7 +435,6 @@ def save_energy(state):
     # Only a binary with fixed power can lower the energy by going off; links
     # and unpowered placements go off with their nodes (``_switch``).
     powered = p0.objective[: p0.n_binaries()] > 0.0
-    start = None  # a solution of the current guide's LP that holds a frame
 
     while True:
         candidates = np.flatnonzero(powered & (b == 1))
@@ -414,15 +446,13 @@ def save_energy(state):
             raise InvariantBroken(
                 f"shutdown guidance LP is {guide.status} at a feasible operating point"
             )
-        if guide.frame is not None:
-            start = guide
         relaxed = [guide.values[p0.variables[col]] for col in candidates.tolist()]
         candidates = candidates[np.argsort(relaxed, kind="stable")]
 
         for col in candidates.tolist():
             after = b.copy()
             _switch(after, col, 0, gates)
-            probe = _solve(state, "save_energy", _shutdown_problem(p0, after), start)
+            probe = _solve(state, "save_energy", _shutdown_problem(p0, after))
             if probe.is_feasible:
                 break
         else:
@@ -442,7 +472,6 @@ def save_energy(state):
         deactivated.append((kind, target))
         state.deactivations += 1
         b = after
-        start = probe  # its LP is the next guide's
 
     if deactivated:
         # The probe's flows optimize a partially relaxed problem; the enacted
@@ -494,8 +523,10 @@ def run_loop(s, seed, rounds, scenario_hook=None, *, problem=None, memo=None):
                 state.scenario = swapped
                 state.base_problem = lp.build_problem(swapped)
                 # No LP of the old problem recurs; a fresh dict leaves the
-                # old one to any run that shares it.
+                # old one to any run that shares it, and no LP of the new
+                # problem fits the old frame.
                 state.memo = {}
+                state.start = state.pinned_start = None
         fix_problems(state)
         _check_invariant(state)
         save_energy(state)

@@ -5,9 +5,15 @@ strategy in this package only ever solves versions where each binary is
 either pinned to a value or relaxed to [0, 1], so each solve is a plain LP.
 ``LpProblem`` is a plain value: its rows and objective plus ``pins``, one
 int8 per binary (0 or 1 pins it, -1 relaxes it to [0, 1]); the flows are
-continuous.  ``fix``/``relax`` return modified copies, and each solve
-assembles its dense block (``_Block``) from the problem's own rows; an
-optimal solution keeps that block, with its final tableau, as ``frame``.
+continuous.  ``fix``/``relax`` return modified copies that share the rows.
+
+A solve poses the pins as column bounds: a pinned binary has both bounds at
+its pin, a relaxed one [0, 1].  The dense block (``_Block``) therefore holds
+every row and every column of the base problem whatever the pins, so it is
+assembled once, at the first solve of any copy, and every LP of the base
+problem is solved on it.  An optimal solution keeps the block with its
+final tableau as ``frame``, and any other LP of the same base problem, with
+other pins or another objective, can restart from it.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
 records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
@@ -19,7 +25,7 @@ The row space follows the flow variables, which exist only for live
 commodities (a demanded first hop or a positive derived flow).  The
 per-commodity families 1, 2 and 6 have one row per node and live
 commodity, so every row has a flow term except the activation rows of
-families 3 and 5; those are the only rows that pinning binaries can empty.
+families 3 and 5, which hold binaries alone.
 
 Flow variables are expressed internally in units of the scenario's largest
 logical flow (``traffic_scale``), which keeps the tableau well conditioned
@@ -33,8 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as mdl
-from .errors import InvalidMode, ShapeMismatch
-from .simplex import solve_dense
+from .errors import InvalidMode, InvariantBroken, ShapeMismatch
+from .simplex import FEAS_TOL, solve_dense
 
 __all__ = [
     "VarRef",
@@ -102,6 +108,10 @@ class LpProblem:
     objective: np.ndarray
     traffic_scale: float
     layout: dict = field(default_factory=dict)  # binary kind -> column slice
+    # id of a constraints tuple -> (the tuple, its assembled ``_Block``).  The
+    # copies ``fix``, ``relax`` and ``dataclasses.replace`` make share this
+    # dict, so the LPs of one base problem assemble its block once.
+    blocks: dict = field(default_factory=dict, repr=False)
 
     def n_vars(self):
         return len(self.variables)
@@ -133,10 +143,13 @@ class LpSolution:
     values: dict
     objective_value: float
     iterations: int = 0
+    # Optimal solutions: the largest violation of a row, divided by the
+    # row's largest coefficient.
     max_residual: float = 0.0
     row_duals: np.ndarray = None
-    # Optimal solutions only: the block solved, holding its final tableau,
-    # which ``solve(q, start=...)`` restarts from.
+    # Optimal solutions only: the base problem's block with the solve's
+    # final tableau, which ``solve(q, start=...)`` restarts from for any
+    # LP ``q`` of the same base problem.
     frame: "_Block" = None
 
     @property
@@ -443,113 +456,72 @@ DENSE_CELL_LIMIT = 50_000_000
 
 @dataclass(frozen=True, eq=False)
 class _Block:
-    """The dense block a solve of ``problem`` runs on: ``A x (senses) rhs``
-    over the free columns, ``x >= 0``, minimizing ``c @ x + offset``.
+    """The dense rows of a base problem: ``A x (senses) rhs`` over every
+    column, row r being constraint r, and ``scale``, each row's largest
+    coefficient (1 for an empty row).
 
-    ``free`` marks the free columns among the problem's: the flows and the
-    relaxed binaries; the pinned binaries are folded into ``rhs`` and
-    ``offset``.  ``rows`` names every row of the block, in block order:
-    first the constraint index of each row kept, ascending, then ``-1 -
-    col`` for the ``x_col <= 1`` row of each relaxed binary column, in
-    column order.  A constraint is left out when its free part vanished and
-    its rhs holds trivially.
-
-    ``tableau`` is None until an optimal solve sets it.  ``_repose`` keeps
-    it for a restart; the problem it poses may pin at 0 a binary that is
-    still a free column here, with a bound row of rhs 0.
+    The pins are not in it: ``solve`` passes them to the simplex as column
+    bounds (``_bounds``), so every LP of the base problem shares one block,
+    assembled at its first solve (``_assemble``).  ``tableau`` is None in
+    the shared block; an optimal solution's ``frame`` is the block with its
+    final tableau, which fits every LP of the same block.
     """
 
-    problem: LpProblem
     A: np.ndarray
     rhs: np.ndarray
     senses: list
-    c: np.ndarray
-    offset: float
-    free: np.ndarray
-    rows: np.ndarray
+    scale: np.ndarray
     tableau: object = None
 
 
 def _assemble(p):
-    """The ``_Block`` of ``p``, assembled from its rows.
+    """The ``_Block`` of ``p``'s rows, assembled once per constraints tuple
+    and shared by every copy of ``p`` that holds the same one.
 
     Raises ShapeMismatch before allocating anything when the tableau that
     ``solve_dense`` builds from the block could exceed ``DENSE_CELL_LIMIT``.
     """
-    n_rows = len(p.constraints)
-    relaxed = p.pins < 0
-    n_relaxed = int(relaxed.sum())
-    free = np.ones(p.n_vars(), dtype=bool)
-    free[: p.pins.size] = relaxed
-    n_free = int(free.sum())
-    # Tableau: the rows plus two objective rows, by the free columns, at
-    # most a slack and an artificial per row, and the rhs.
-    m = n_rows + n_relaxed
-    cells = (m + 2) * (n_free + 2 * m + 1)
+    held = p.blocks.get(id(p.constraints))
+    if held is not None:
+        return held[1]
+    m, n = len(p.constraints), p.n_vars()
+    # Tableau: the rows plus two objective rows, by the columns, at most a
+    # slack and an artificial per row, and the rhs.
+    cells = (m + 2) * (n + 2 * m + 1)
     if cells > DENSE_CELL_LIMIT:
         raise ShapeMismatch(
-            f"problem of {n_rows} rows x {n_free} free columns needs up to {cells} "
-            f"tableau cells, beyond the built-in dense solver's budget of "
+            f"problem of {m} rows x {n} columns needs up to {cells} tableau "
+            f"cells, beyond the built-in dense solver's budget of "
             f"{DENSE_CELL_LIMIT}; plug an external LP solver in for instances of "
             "this scale"
         )
-    local = np.where(free, np.cumsum(free) - 1, -1).tolist()  # column -> free column
-    pins = p.pins.tolist()
-    # Free terms and pinned-column folds, in row and term order; the
-    # unbuffered scatters below apply them in that order, as a walk would.
     rows, cols, coefs = [], [], []
-    fold_rows, folds = [], []
     for r, con in enumerate(p.constraints):
         for pos, coef in con.terms:
-            j = local[pos]
-            if j >= 0:
-                rows.append(r)
-                cols.append(j)
-                coefs.append(coef)
-            else:
-                fold_rows.append(r)
-                folds.append(coef * pins[pos])
-    A = np.zeros((n_rows, n_free))
+            rows.append(r)
+            cols.append(pos)
+            coefs.append(coef)
+    A = np.zeros((m, n))
     np.add.at(A, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), coefs)
     rhs = np.array([con.rhs for con in p.constraints], dtype=float)
-    np.subtract.at(rhs, np.array(fold_rows, dtype=np.intp), folds)
-    senses = [con.sense for con in p.constraints]
-    names = np.arange(n_rows)
-    senses_arr = np.array(senses)
-    nonzero = (A != 0.0).any(axis=1)
-    trivial = ~nonzero & np.where(
-        senses_arr == "eq", np.abs(rhs) <= 1e-12, rhs >= -1e-12
-    )
-    if trivial.any():
-        keep = ~trivial
-        A = A[keep]
-        rhs = rhs[keep]
-        names = names[keep]
-        senses = [sense for sense, k in zip(senses, keep.tolist()) if k]
-    if n_relaxed:
-        # The relaxed binaries are the leading free columns.
-        A = np.vstack([A, np.eye(n_relaxed, n_free)])
-        rhs = np.concatenate([rhs, np.ones(n_relaxed)])
-        senses = senses + ["le"] * n_relaxed
-        names = np.concatenate([names, -1 - relaxed.nonzero()[0]])
-    offset = float(p.objective[~free] @ p.pins[~relaxed].astype(float))
-    return _Block(p, A, rhs, senses, p.objective[free], offset, free, names)
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    scale[scale < 1e-12] = 1.0
+    block = _Block(A, rhs, [con.sense for con in p.constraints], scale)
+    # Holding the tuple keeps its id from being reused.
+    p.blocks[id(p.constraints)] = (p.constraints, block)
+    return block
 
 
-def _repose(p, f):
-    """``p`` posed in the solved block ``f``: ``f`` with the bound rows of
-    the binaries ``p`` newly pins at rhs 0, or None when ``p`` is not
-    ``f.problem`` with some of the binaries it relaxes pinned to 0."""
-    q = f.problem
-    if p.constraints is not q.constraints or not np.array_equal(p.objective, q.objective):
-        return None
-    newly = (q.pins < 0) & (p.pins == 0)
-    if not np.array_equal(p.pins[~newly], q.pins[~newly]):
-        return None
-    bound = (f.rows < 0).nonzero()[0]
-    rhs = f.rhs.copy()
-    rhs[bound[newly[-1 - f.rows[bound]]]] = 0.0
-    return replace(f, rhs=rhs)
+def _bounds(p):
+    """Column bounds of ``p``: a pinned binary at its pin, a relaxed one
+    over [0, 1], the flows over [0, inf)."""
+    n, nb = p.n_vars(), p.n_binaries()
+    lo = np.zeros(n)
+    hi = np.full(n, np.inf)
+    pins = p.pins.astype(float)
+    lo[:nb] = np.where(p.pins < 0, 0.0, pins)
+    hi[:nb] = np.where(p.pins < 0, 1.0, pins)
+    return lo, hi
 
 
 def solve(p, feasibility_only=False, start=None):
@@ -557,55 +529,49 @@ def solve(p, feasibility_only=False, start=None):
 
     Returns an LpSolution; ``feasibility_only`` skips the optimization phase
     and reports the first feasible point found (used heavily by the IIS
-    filter).  Raises SolverStall if the pivot budget runs out.
+    filter).  Raises SolverStall if the pivot budget runs out, and
+    InvariantBroken when the point it would return breaks a row, divided
+    by the row's largest coefficient, by more than ``FEAS_TOL``.
 
-    ``start`` is an earlier solution.  When it is optimal and ``p`` is its
-    LP (same ``constraints`` object, equal objective) with some binaries it
-    relaxed pinned to 0, ``p`` is posed in ``start``'s block instead of
-    being assembled (``_repose``), and the simplex restarts from the
-    block's final tableau (``simplex`` module, Restarts).  In every other
-    case, and for ``feasibility_only``, the solve runs cold.
+    ``start`` is an earlier solution.  When it is optimal and ``p`` shares
+    its rows (the same ``constraints`` tuple), whatever the pins and the
+    objective, the simplex restarts from the final tableau ``start.frame``
+    holds (``simplex`` module, Restarts).  In every other case, and for
+    ``feasibility_only``, the solve runs cold.
     """
+    block = _assemble(p)
+    lo, hi = _bounds(p)
     f = start.frame if start is not None and not feasibility_only else None
-    block = None if f is None else _repose(p, f)
-    if block is None:
-        block = _assemble(p)
     res = solve_dense(
-        block.c, block.A, block.rhs, block.senses,
-        feasibility_only=feasibility_only, start=block.tableau,
-    )
-
-    def scatter_duals():
-        if res.row_duals is None:
-            return None
-        duals = np.zeros(len(p.constraints))
-        kept = block.rows >= 0
-        duals[block.rows[kept]] = res.row_duals[kept]
-        return duals
-
+        p.objective, block.A, block.rhs, block.senses,
+        feasibility_only=feasibility_only,
+        start=f.tableau if f is not None and f.A is block.A else None,
+        lo=lo, hi=hi,
+    )  # fmt: skip
     if res.status == "infeasible":
-        return LpSolution("infeasible", {}, math.inf, res.iterations, 0.0, scatter_duals())
+        return LpSolution("infeasible", {}, math.inf, res.iterations, 0.0, res.row_duals)
     if res.status == "unbounded":
         return LpSolution("unbounded", {}, -math.inf, res.iterations, 0.0, None)
 
-    full = np.zeros(p.n_vars())
-    full[block.free] = res.x
-    # Pinned binaries read their pins, also those the block keeps free.
-    nb = p.n_binaries()
-    full[:nb] = np.where(p.pins < 0, full[:nb], p.pins)
-    full[nb:] *= p.traffic_scale  # the flows
-    values = dict(zip(p.variables, full.tolist()))
     resid = 0.0
     if block.A.shape[0]:
         gap = block.A @ res.x - block.rhs
         viol = np.where(np.array(block.senses) == "eq", np.abs(gap), np.maximum(gap, 0.0))
-        resid = float(viol.max())
-    frame = None
-    if res.tableau is not None:
-        frame = replace(block, problem=p, tableau=res.tableau)
+        resid = float((viol / block.scale).max())
+    if resid > FEAS_TOL:
+        raise InvariantBroken(
+            f"the simplex returned a point that breaks a row by {resid:.3g} "
+            f"(equilibrated), beyond the tolerance {FEAS_TOL}"
+        )
+    full = res.x.copy()
+    # Pinned binaries read their pins.
+    nb = p.n_binaries()
+    full[:nb] = np.where(p.pins < 0, full[:nb], p.pins)
+    full[nb:] *= p.traffic_scale  # the flows
+    values = dict(zip(p.variables, full.tolist()))
+    frame = None if res.tableau is None else replace(block, tableau=res.tableau)
     return LpSolution(
-        "optimal", values, res.objective + block.offset, res.iterations, resid,
-        scatter_duals(), frame,
+        "optimal", values, float(res.objective), res.iterations, resid, res.row_duals, frame
     )
 
 

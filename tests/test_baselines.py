@@ -264,6 +264,34 @@ def test_exact_rejects_too_many_nodes_before_building(vepc, monkeypatch):
     assert builds == []
 
 
+def test_exact_restarts_each_assignment_from_the_previous_optimum(monkeypatch):
+    calls = []
+    real = lp.solve
+
+    def spy(p, start=None, **kwargs):
+        sol = real(p, start=start, **kwargs)
+        calls.append((start, sol))
+        return sol
+
+    for toy in range(4):
+        s = make_toy(toy)
+        monkeypatch.setattr(lp, "solve", spy)
+        calls.clear()
+        res = exact_optimum(s)
+        monkeypatch.undo()
+        assert len(calls) == res.stats["assignments"] > 1
+        latest = None
+        for start, sol in calls:
+            assert start is latest
+            if sol.is_feasible:
+                latest = sol
+        assert calls[-1][0] is not None
+        # Solved cold, the enumeration finds the same optimum.
+        monkeypatch.setattr(lp, "solve", lambda p, start=None, **kw: real(p, **kw))
+        assert exact_optimum(s).energy.total == pytest.approx(res.energy.total, rel=1e-9)
+        monkeypatch.undo()
+
+
 def test_exact_golden_regression(vepc):
     res = exact_optimum(vepc)
     got = strategy_result_to_dict(res)

@@ -99,14 +99,14 @@ def test_minimality_every_member_essential():
 
 
 def test_feasible_from_one_block_poses_each_subset_as_its_own_assembly(monkeypatch):
-    # compute_iis assembles its problem once and solves each trial on rows
-    # of that block; the rows passed to the solver must be those the trial
-    # subset assembles to, bit for bit, with or without a block at hand.
+    # _feasible solves each trial on rows of the problem's one assembled
+    # block, with the problem's column bounds; the rows passed to the
+    # solver must be those the trial subset assembles to, bit for bit.
     posed = []
     real = iis.solve_dense
 
     def spy(c, A, rhs, senses, **kwargs):
-        posed.append((c, A, rhs, list(senses)))
+        posed.append((c, A, rhs, list(senses), kwargs["lo"], kwargs["hi"]))
         return real(c, A, rhs, senses, **kwargs)
 
     monkeypatch.setattr(iis, "solve_dense", spy)
@@ -115,21 +115,20 @@ def test_feasible_from_one_block_poses_each_subset_as_its_own_assembly(monkeypat
     for seed in range(4):
         for maker in (make_capacity_starved, make_compute_starved):
             fp = _all_on_problem(maker(seed))
-            block = lp._assemble(fp)
+            lo, hi = lp._bounds(fp)
             n = len(fp.constraints)
             for share in (0.3, 0.7, 0.95, 1.0):
                 rows = sorted(np.flatnonzero(rng.random(n) < share).tolist())
                 q = replace(fp, constraints=tuple(fp.constraints[r] for r in rows))
                 want = lp._assemble(q)
                 posed.clear()
-                got = {_feasible(fp, rows), _feasible(fp, rows, block)}
-                assert len(got) == 1
-                for c_got, A_got, rhs_got, senses_got in posed:
-                    assert np.array_equal(c_got, want.c)
-                    assert np.array_equal(A_got, want.A)
-                    assert np.array_equal(rhs_got, want.rhs)
-                    assert senses_got == want.senses
-                verdicts |= got
+                verdicts.add(_feasible(fp, rows))
+                [(c_got, A_got, rhs_got, senses_got, lo_got, hi_got)] = posed
+                assert np.array_equal(c_got, fp.objective)
+                assert np.array_equal(A_got, want.A)
+                assert np.array_equal(rhs_got, want.rhs)
+                assert senses_got == want.senses
+                assert np.array_equal(lo_got, lo) and np.array_equal(hi_got, hi)
     assert verdicts == {True, False}
 
 
@@ -167,9 +166,9 @@ def test_non_minimal_report_falls_back_to_the_sweep(monkeypatch):
     real = iis._feasible
     calls = []
 
-    def support_solves(p, rows, block=None):
+    def support_solves(p, rows):
         calls.append(rows)
-        return len(calls) == 1 or real(p, rows, block)
+        return len(calls) == 1 or real(p, rows)
 
     for seed in range(3):
         for maker in (make_capacity_starved, make_compute_starved):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import single_vnf_scenario
-from corpus import make_capacity_starved, make_toy
+from corpus import make_capacity_starved, make_compute_starved, make_toy
 from optiloop import lp
-from optiloop.errors import InvalidMode, ShapeMismatch
+from optiloop.errors import InvalidMode, InvariantBroken, ShapeMismatch
 from optiloop.loop import _all_on, _assignment_modes, _assignment_problem
 from optiloop.model import derive_logical_flows, validate_configuration
 from optiloop.scenario import GeneratorParams, generate, scale_demand
@@ -201,37 +201,43 @@ def test_row_subset_copy_solves_its_own_rows():
 
 
 def test_cell_limit_guards_the_assembled_block(monkeypatch):
-    p = lp.build_problem(make_toy(3))
-    pinned = _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
-    rows = len(p.constraints)
-    flows = p.n_vars() - p.n_binaries()
-    # The guarded bound: rows (bound rows included) plus two objective rows,
-    # by the free columns, two auxiliary columns per row and the rhs.
-    pinned_cells = (rows + 2) * (flows + 2 * rows + 1)
-    m = rows + p.n_binaries()
-    relaxed_cells = (m + 2) * (p.n_vars() + 2 * m + 1)
-    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", (pinned_cells + relaxed_cells) // 2)
-    assert lp.solve(pinned).status == "optimal"
-    with pytest.raises(ShapeMismatch):
-        lp.solve(p)
+    s = make_toy(3)
+    built = lp.build_problem(s)
+    rows, n_vars = len(built.constraints), built.n_vars()
+    # The guarded bound: the rows plus two objective rows, by every column,
+    # two auxiliary columns per row and the rhs.  The pins are column
+    # bounds, so it is the same for a pinned and a relaxed LP.
+    cells = (rows + 2) * (n_vars + 2 * rows + 1)
+    for limit, solves in ((cells, True), (cells - 1, False)):
+        monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", limit)
+        p = lp.build_problem(s)
+        for q in (_assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8)), p):
+            if solves:
+                assert lp.solve(q).status == "optimal"
+            else:
+                with pytest.raises(ShapeMismatch):
+                    lp.solve(q)
 
 
 def _tableau_cells(p):
     """Cells of the tableau ``solve_dense`` allocates for ``p``: a row per
-    assembled row plus two objective rows; a column per free column, per
-    ``le`` slack and per artificial (``eq`` rows and ``le`` rows with a
-    negative rhs), plus the rhs."""
-    b = lp._assemble(p)
+    constraint plus two objective rows; a column per problem column, per
+    ``le`` slack and per artificial (``eq`` rows, and ``le`` rows whose rhs
+    is negative once every column sits at its lower bound), plus the rhs.
+    Assembles on a copy with its own block cache."""
+    b = lp._assemble(dataclasses.replace(p, blocks={}))
+    lo, _ = lp._bounds(p)
     le = np.array(b.senses) == "le"
-    cols = b.A.shape[1] + le.sum() + (~le | (b.rhs < 0)).sum() + 1
+    cols = b.A.shape[1] + le.sum() + (~le | (b.rhs - b.A @ lo < 0)).sum() + 1
     return (b.A.shape[0] + 2) * int(cols)
 
 
 def test_cell_limit_counts_bound_rows_and_auxiliary_columns(monkeypatch):
+    # There are no bound rows any more: the pins are column bounds.
     p = lp.build_problem(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1)))
-    block = len(p.constraints) * p.n_vars()  # requested rows x free columns
+    block = len(p.constraints) * p.n_vars()  # rows x columns
     allocated = _tableau_cells(p)
-    assert (block, allocated) == (34_104, 83_824)
+    assert (block, allocated) == (34_104, 65_296)
     monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", (block + allocated) // 2)
     with pytest.raises(ShapeMismatch):
         lp.solve(p)
@@ -249,12 +255,12 @@ def test_cell_limit_never_undercounts_the_tableau(monkeypatch):
     for q in problems:
         monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", _tableau_cells(q) - 1)
         with pytest.raises(ShapeMismatch):
-            lp.solve(q)
+            lp.solve(dataclasses.replace(q, blocks={}))
         monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
-# The assembled block's row layout
+# The assembled block
 
 
 def _layout_problems():
@@ -266,84 +272,102 @@ def _layout_problems():
         yield from (p, _assignment_problem(p, on), _assignment_problem(p, on, {"y": 1}))
 
 
-def _holds(con, pins):
-    """Whether ``con`` holds with every term's column at its pin."""
-    lhs = sum(coef * pins[pos] for pos, coef in con.terms)
-    return abs(lhs - con.rhs) <= 1e-12 if con.sense == "eq" else lhs <= con.rhs + 1e-12
-
-
-def test_block_names_kept_constraints_in_order_and_left_out_ones_hold():
-    left_out_somewhere = False
+def test_block_keeps_every_row_whatever_the_pins():
+    blocks = set()
     for p in _layout_problems():
         b = lp._assemble(p)
-        kept = b.rows[b.rows >= 0]
-        assert b.rows.size == b.A.shape[0] == b.rhs.size == len(b.senses)
-        assert (b.rows[: kept.size] >= 0).all()  # the constraints come first
-        assert (np.diff(kept) > 0).all()
-        for r in sorted(set(range(len(p.constraints))) - set(kept.tolist())):
-            con = p.constraints[r]
-            assert not any(b.free[pos] for pos, _ in con.terms)
-            assert _holds(con, p.pins)
-            left_out_somewhere = True
-        for i, r in enumerate(kept.tolist()):
-            assert b.senses[i] == p.constraints[r].sense
-    assert left_out_somewhere
+        blocks.add(id(b))
+        assert b.A.shape == (len(p.constraints), p.n_vars())
+        assert b.rhs.size == len(b.senses) == b.scale.size == len(p.constraints)
+        for r, con in enumerate(p.constraints):
+            row = np.zeros(p.n_vars())
+            for pos, coef in con.terms:
+                row[pos] += coef
+            assert np.array_equal(b.A[r], row)
+            assert (b.rhs[r], b.senses[r]) == (con.rhs, con.sense)
+            assert b.scale[r] == (np.abs(row).max() if row.any() else 1.0)
+    assert len(blocks) == 2  # one per base problem
 
 
-def test_block_bound_rows_are_the_relaxed_binaries_unit_rows():
+def test_block_poses_pins_as_column_bounds():
     for p in _layout_problems():
-        b = lp._assemble(p)
-        bound = (b.rows < 0).nonzero()[0]
-        relaxed = (p.pins < 0).nonzero()[0]
-        assert np.array_equal(-1 - b.rows[bound], relaxed)
-        local = np.cumsum(b.free) - 1  # column -> free column
-        for i, col in zip(bound.tolist(), relaxed.tolist()):
-            unit = np.zeros(b.A.shape[1])
-            unit[local[col]] = 1.0
-            assert np.array_equal(b.A[i], unit)
-            assert (b.rhs[i], b.senses[i]) == (1.0, "le")
+        lo, hi = lp._bounds(p)
+        nb = p.n_binaries()
+        relaxed = p.pins < 0
+        assert (lo[:nb][relaxed] == 0.0).all() and (hi[:nb][relaxed] == 1.0).all()
+        assert np.array_equal(lo[:nb][~relaxed], p.pins[~relaxed])
+        assert np.array_equal(hi[:nb][~relaxed], p.pins[~relaxed])
+        assert (lo[nb:] == 0.0).all() and (hi[nb:] == np.inf).all()
+        sol = lp.solve(p)
+        for ref, pin in zip(p.binary_refs(), p.pins.tolist()):
+            value = sol.values[ref]
+            assert value == pin if pin >= 0 else -1e-9 <= value <= 1.0 + 1e-9
 
 
-def test_repose_moves_only_the_newly_pinned_bound_rows():
+def test_block_is_assembled_once_at_the_first_solve(monkeypatch):
     p = lp.build_problem(make_toy(0))
+    assert p.blocks == {}  # building assembles nothing
+    assembled = []
+    real_add_at = np.add.at
+
+    def spy_add_at(*args):
+        assembled.append(args)
+        return real_add_at(*args)
+
+    monkeypatch.setattr(lp.np.add, "at", spy_add_at)
     guide = lp.solve(p)
-    f = guide.frame
+    block = lp._assemble(p)
     y = np.arange(p.n_binaries())[p.layout["y"]][:2]
     q = lp._with_modes(p, {p.variables[col]: lp.fixed(0) for col in y.tolist()})
-    r = lp._repose(q, f)
-    for name in ("problem", "A", "senses", "c", "free", "rows", "tableau"):
-        assert getattr(r, name) is getattr(f, name), name
-    assert r.offset == f.offset
-    moved = np.isin(f.rows, -1 - y)
-    assert moved.sum() == y.size
-    assert (r.rhs[moved] == 0.0).all() and (f.rhs[moved] == 1.0).all()
-    assert np.array_equal(r.rhs[~moved], f.rhs[~moved])
-    # The restarted solve keeps the reposed block, for ``q``, with its own
-    # final tableau; posing ``q`` there again moves nothing.
     probe = lp.solve(q, start=guide)
-    g = probe.frame
-    assert g.problem is q and g.A is f.A and g.tableau is not f.tableau
-    assert np.array_equal(lp._repose(q, g).rhs, r.rhs)
-    # Not the frame's problem with relaxed binaries pinned to 0: None.
+    pinned = lp.solve(_assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8)))
+    assert len(assembled) == 1 and list(p.blocks) == [id(p.constraints)]
+    assert q.blocks is p.blocks and lp._assemble(q) is block
+    # Each optimum's frame is the shared block with its own final tableau.
+    for sol in (guide, probe, pinned):
+        assert sol.frame.A is block.A and sol.frame.tableau is not None
+    assert block.tableau is None and probe.frame.tableau is not guide.frame.tableau
+    # A copy with another constraints tuple assembles its own block.
     copied = dataclasses.replace(q, constraints=tuple(list(q.constraints)))
-    others = {
-        "another constraints object": (copied, f),
-        "another objective": (dataclasses.replace(q, objective=q.objective * 2), f),
-        "pinned to 1": (lp.fix(p, p.variables[int(y[0])], 1), f),
-        "a pinned binary relaxed": (p, g),
-    }
-    for name, (other, frame) in others.items():
-        assert lp._repose(other, frame) is None, name
+    assert lp._assemble(copied) is not block and len(assembled) == 2
 
 
-def test_infeasible_row_duals_are_zero_on_left_out_constraints():
+def test_infeasible_row_duals_prove_infeasibility_with_the_pins():
     for seed in range(3):
-        s = make_capacity_starved(seed)
-        p = lp.build_problem(s)
-        q = _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
-        sol = lp.solve(q)
-        assert sol.status == "infeasible"
-        b = lp._assemble(q)
-        left_out = np.setdiff1d(np.arange(len(q.constraints)), b.rows)
-        assert left_out.size and (sol.row_duals[left_out] == 0.0).all()
-        assert np.abs(sol.row_duals).max() > 0.0
+        for maker in (make_capacity_starved, make_compute_starved):
+            p = lp.build_problem(maker(seed))
+            q = _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
+            sol = lp.solve(q)
+            assert sol.status == "infeasible"
+            b = lp._assemble(q)
+            lo, hi = lp._bounds(q)
+            y = sol.row_duals
+            assert y.size == len(q.constraints)
+            # y @ (A x) <= y @ b on every point of the rows, and y @ (A x)
+            # stays below y @ b - 1e-9 over the whole box.
+            le = np.array(b.senses) == "le"
+            assert (y[le] <= 1e-12).all()
+            a = y @ b.A
+            assert (a[hi == np.inf] <= 1e-12).all()
+            top = np.maximum(a * lo, a * np.where(hi == np.inf, lo, hi)).sum()
+            assert y @ b.rhs - top > 1e-9
+
+
+def test_solve_raises_on_an_optimum_that_breaks_a_row(monkeypatch):
+    # The simplex returns a point off an equality row; divided by the row's
+    # largest coefficient, an offset beyond FEAS_TOL is refused.
+    p = lp.build_problem(make_toy(0))
+    b = lp._assemble(p)
+    lo, hi = lp._bounds(p)
+    good = lp.solve_dense(p.objective, b.A, b.rhs, b.senses, lo=lo, hi=hi)
+    row = int(np.flatnonzero(np.array(b.senses) == "eq")[0])
+    pos, coef = p.constraints[row].terms[-1]
+    for offset, refused in ((0.5 * lp.FEAS_TOL, False), (2 * lp.FEAS_TOL, True)):
+        bad = dataclasses.replace(good, x=good.x.copy())
+        bad.x[pos] += offset * b.scale[row] / coef
+        monkeypatch.setattr(lp, "solve_dense", lambda *args, bad=bad, **kwargs: bad)
+        if refused:
+            with pytest.raises(InvariantBroken, match="breaks a row"):
+                lp.solve(p)
+        else:
+            assert lp.solve(p).max_residual == pytest.approx(offset, rel=1e-6)

@@ -2,11 +2,10 @@
 frozen copy of its earlier kernel (``reference_simplex``)."""
 
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -19,11 +18,9 @@ from optiloop.scenario import GeneratorParams, generate
 from optiloop.simplex import _pivot_once, solve_dense
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-# The LP of an assembled block, in the order the tests below unpack it.
-_block_lp = attrgetter("A", "rhs", "senses", "c")
 
 
-def _highs(c, A, b, senses):
+def _highs(c, A, b, senses, bounds=(0, None), **options):
     """HiGHS's result (``linprog``) for the LP ``solve_dense`` takes."""
     le = [i for i, sn in enumerate(senses) if sn == "le"]
     eq = [i for i, sn in enumerate(senses) if sn == "eq"]
@@ -33,8 +30,9 @@ def _highs(c, A, b, senses):
         b_ub=b[le] if le else None,
         A_eq=A[eq] if eq else None,
         b_eq=b[eq] if eq else None,
-        bounds=(0, None),
+        bounds=bounds,
         method="highs",
+        options=options or None,
     )
 
 
@@ -288,85 +286,136 @@ def _toy_lps(seed):
         yield lp._with_modes(p, _assignment_modes(p, *_all_on(s)))
 
 
+def _bound_row_form(p):
+    """The LP of ``p`` as the kernel without column bounds took it: the
+    pinned binaries folded into the right-hand sides, the relaxed ones kept
+    as columns with an ``x <= 1`` row each.  Returns (c, A, b, senses,
+    offset); the objective of ``p`` is that LP's plus ``offset``."""
+    block = lp._assemble(p)
+    pins = p.pins.astype(float)
+    free = np.ones(p.n_vars(), dtype=bool)
+    free[: pins.size] = p.pins < 0
+    fixed = np.zeros(p.n_vars())
+    fixed[: pins.size] = np.where(p.pins < 0, 0.0, pins)
+    n_relaxed = int((p.pins < 0).sum())
+    A = np.vstack([block.A[:, free], np.eye(n_relaxed, int(free.sum()))])
+    b = np.concatenate([block.rhs - block.A @ fixed, np.ones(n_relaxed)])
+    senses = list(block.senses) + ["le"] * n_relaxed
+    return p.objective[free], A, b, senses, float(p.objective @ fixed)
+
+
+def _assert_same_lp_answer(p):
+    """``p`` on its block with column bounds gets the status and objective
+    the frozen kernel gets on the bound-row form; returns that status."""
+    c, A, b, senses, offset = _bound_row_form(p)
+    want = reference_simplex.solve_dense(c, A, b, senses)
+    block = lp._assemble(p)
+    lo, hi = lp._bounds(p)
+    got = solve_dense(p.objective, block.A, block.rhs, block.senses, lo=lo, hi=hi)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert got.objective == pytest.approx(want.objective + offset, rel=1e-9, abs=1e-9)
+    return want.status
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_matches_frozen_reference_bit_for_bit_on_generated_lps(seed):
     # The relaxed root and the all-on pinned LP of a generated 2x4
-    # instance: about 210 and 140 rows, 100 to 215 pivots.
+    # instance, against the frozen kernel on the bound-row form of each.
+    # The pins are column bounds now, so pivots differ and only the status
+    # and the objective are compared.
     p = lp.build_problem(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=seed)))
+    assert len(p.constraints) > 130
     for q in (p, _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))):
-        A, rhs, senses, c = _block_lp(lp._assemble(q))
-        want = reference_simplex.solve_dense(c, A, rhs, senses)
-        assert want.status == "optimal" and A.shape[0] > 130
-        _assert_same_result(solve_dense(c, A, rhs, senses), want)
+        assert _assert_same_lp_answer(q) == "optimal"
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_matches_frozen_reference_bit_for_bit_on_toy_lps(seed):
-    statuses = set()
-    for p in _toy_lps(seed):
-        A, rhs, senses, c = _block_lp(lp._assemble(p))
-        want = reference_simplex.solve_dense(c, A, rhs, senses)
-        _assert_same_result(solve_dense(c, A, rhs, senses), want)
-        statuses.add(want.status)
-    assert statuses == {"optimal", "infeasible"}
+    # As above, on the toys' relaxed roots and all-on pinned LPs.
+    assert {_assert_same_lp_answer(p) for p in _toy_lps(seed)} == {"optimal", "infeasible"}
 
 
 # ---------------------------------------------------------------------------
-# Restarts from a final tableau
+# Column bounds and restarts
 
 
 @st.composite
-def _box_lps(draw):
-    """A small LP over columns bounded by 'le' rows ``x_j <= 1`` (the last
-    ``n`` rows), and the rhs with some of those bounds lowered to 0."""
+def _bounded_lps(draw):
+    """A small LP ``A x (<= | =) b`` over bounded columns, with its costs
+    and bounds drawn twice: (A, b, senses, (c, lo, hi), (c, lo, hi))."""
     m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     ints = st.integers(-3, 3)
     rows = st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)
-    A = np.array(draw(rows))
+    A = np.array(draw(rows), dtype=float)
     b = np.array(draw(st.lists(st.integers(-2, 4), min_size=m, max_size=m)), dtype=float)
-    c = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
     senses = draw(st.lists(st.sampled_from(["le", "le", "eq"]), min_size=m, max_size=m))
-    lowered = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    A = np.vstack([A, np.eye(n)])
-    b = np.concatenate([b, np.ones(n)])
-    b_lowered = np.concatenate([b[:m], np.where(lowered, 0.0, 1.0)])
-    return c, A, b, b_lowered, senses + ["le"] * n
+
+    def costs_and_bounds():
+        c = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
+        lo = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+        width = draw(st.lists(st.sampled_from([0, 1, 2, np.inf]), min_size=n, max_size=n))
+        return c, lo, lo + np.array(width, dtype=float)
+
+    return A, b, senses, costs_and_bounds(), costs_and_bounds()
+
+
+def _proves_infeasible(y, A, b, senses, lo, hi):
+    """Whether ``y`` is a Farkas ray of ``A x (<= | =) b`` over the box
+    ``lo <= x <= hi``: at most 0 on the ``le`` rows, and ``y @ b`` above
+    every value ``y @ A @ x`` takes in the box."""
+    tol = 1e-7 * max(1.0, float(np.abs(y).max()))
+    a = y @ A
+    le = np.array([sn == "le" for sn in senses])
+    if (a[hi == np.inf] > tol).any() or (y[le] > tol).any():
+        return False
+    top = np.maximum(a * lo, a * np.where(hi == np.inf, lo, hi)).sum()
+    return y @ b - top > tol
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(lp_pair=_box_lps())
-def test_restart_agrees_with_cold_solve(lp_pair):
-    c, A, b, b_lowered, senses = lp_pair
-    start = solve_dense(c, A, b, senses)
+@given(case=_bounded_lps())
+def test_bounded_solve_matches_highs(case):
+    A, b, senses, (c, lo, hi), _ = case
+    # HiGHS's presolve reports some unbounded LPs as infeasible.
+    bounds = [(low, None if high == np.inf else high) for low, high in zip(lo, hi)]
+    ref = _highs(c, A, b, senses, bounds, presolve=False)
+    assume(ref.status in _STATUS)  # 4: HiGHS met numerical trouble
+    got = solve_dense(c, A, b, senses, lo=lo, hi=hi)
+    assert got.status == _STATUS[ref.status]
+    if got.status == "optimal":
+        assert got.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert (got.x >= lo - 1e-9).all() and (got.x <= hi + 1e-9).all()
+    if got.status == "infeasible":
+        assert _proves_infeasible(got.row_duals, A, b, senses, lo, hi)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=_bounded_lps())
+def test_restart_agrees_with_cold_solve(case):
+    # From an optimum of the same rows, with other costs and bounds.
+    A, b, senses, (c0, lo0, hi0), (c, lo, hi) = case
+    start = solve_dense(c0, A, b, senses, lo=lo0, hi=hi0)
     if start.status != "optimal":
         return
-    got = solve_dense(c, A, b_lowered, senses, start=start.tableau)
-    want = solve_dense(c, A, b_lowered, senses)
+    got = solve_dense(c, A, b, senses, start=start.tableau, lo=lo, hi=hi)
+    want = solve_dense(c, A, b, senses, lo=lo, hi=hi)
     assert got.status == want.status
     if want.status == "optimal":
-        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
         assert got.tableau is not None
+    if want.status == "infeasible":
+        assert _proves_infeasible(got.row_duals, A, b, senses, lo, hi)
 
 
 def test_restart_from_a_corrupted_tableau_runs_the_cold_solve(monkeypatch):
-    p = lp.build_problem(make_toy(0))
-    A, rhs, senses, c = _block_lp(lp._assemble(p))
-    start = solve_dense(c, A, rhs, senses)
-    lowered = rhs.copy()
-    lowered[-3:] = 0.0  # the bounds of the last three relaxed binaries
+    c, A, rhs, senses, lo, hi, lowered, start = _restart_case()
     corrupted = replace(start.tableau, D=start.tableau.D.copy())
     corrupted.D[:-2, -1] += 0.5  # a basic point that no longer solves the rows
-    colds = []
-    real_cold = simplex._cold
-
-    def spy_cold(*args):
-        colds.append(args)
-        return real_cold(*args)
-
-    monkeypatch.setattr(simplex, "_cold", spy_cold)
-    got = solve_dense(c, A, lowered, senses, start=corrupted)
+    colds = _spy_cold(monkeypatch)
+    got = solve_dense(c, A, rhs, senses, start=corrupted, lo=lo, hi=lowered)
     assert len(colds) == 1
-    want = solve_dense(c, A, lowered, senses)
+    want = solve_dense(c, A, rhs, senses, lo=lo, hi=lowered)
     assert got.status == want.status == "optimal"
     assert got.objective == want.objective
     assert np.array_equal(got.x, want.x)
@@ -374,12 +423,12 @@ def test_restart_from_a_corrupted_tableau_runs_the_cold_solve(monkeypatch):
     assert got.iterations >= want.iterations
     # The intact tableau restarts without the cold solve.
     colds.clear()
-    restarted = solve_dense(c, A, lowered, senses, start=start.tableau)
+    restarted = solve_dense(c, A, rhs, senses, start=start.tableau, lo=lo, hi=lowered)
     assert colds == []
     assert restarted.objective == pytest.approx(want.objective, rel=1e-9)
 
 
-def test_lp_restarts_only_with_binaries_it_relaxed_pinned_to_0(monkeypatch):
+def test_lp_restarts_every_lp_of_the_same_base_problem(monkeypatch):
     starts = []
     real = lp.solve_dense
 
@@ -391,11 +440,14 @@ def test_lp_restarts_only_with_binaries_it_relaxed_pinned_to_0(monkeypatch):
     p = lp.build_problem(make_toy(1))
     guide = lp.solve(p)
     y = p.layout["y"].start
+    copied = replace(p, constraints=tuple(list(p.constraints)))
     cases = {
         "pinned to 0": (lp.fix(p, p.variables[y], 0), True),
-        "pinned to 1": (lp.fix(p, p.variables[y], 1), False),
-        "other objective": (replace(p, objective=p.objective * 2), False),
+        "pinned to 1": (lp.fix(p, p.variables[y], 1), True),
+        "other objective": (replace(p, objective=p.objective * 2), True),
+        "all pinned": (_assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8)), True),
         "feasibility only": (lp.fix(p, p.variables[y], 0), False),
+        "another constraints object": (copied, False),
     }
     for name, (q, restarts) in cases.items():
         starts.clear()
@@ -409,13 +461,16 @@ def test_lp_restarts_only_with_binaries_it_relaxed_pinned_to_0(monkeypatch):
 
 
 def _restart_case():
-    """Toy 0's relaxed root, its optimal result, and its rhs with the
-    bounds of the last three relaxed binaries lowered to 0."""
+    """Toy 0's relaxed root and its optimal result, with the bounds of its
+    last three relaxed binaries lowered to 0: (c, A, b, senses, lo, hi,
+    lowered hi, result)."""
     p = lp.build_problem(make_toy(0))
-    A, rhs, senses, c = _block_lp(lp._assemble(p))
-    lowered = rhs.copy()
-    lowered[-3:] = 0.0
-    return c, A, rhs, lowered, senses, solve_dense(c, A, rhs, senses)
+    block = lp._assemble(p)
+    lo, hi = lp._bounds(p)
+    lowered = hi.copy()
+    lowered[p.n_binaries() - 3 : p.n_binaries()] = 0.0
+    c, A, rhs, senses = p.objective, block.A, block.rhs, block.senses
+    return c, A, rhs, senses, lo, hi, lowered, solve_dense(c, A, rhs, senses, lo=lo, hi=hi)
 
 
 def _spy_cold(monkeypatch):
@@ -431,50 +486,50 @@ def _spy_cold(monkeypatch):
 
 
 def test_tableaus_are_column_major():
-    c, A, _rhs, lowered, senses, start = _restart_case()
+    c, A, rhs, senses, lo, _hi, lowered, start = _restart_case()
     assert start.tableau.D.flags.f_contiguous
-    restarted = solve_dense(c, A, lowered, senses, start=start.tableau)
+    restarted = solve_dense(c, A, rhs, senses, start=start.tableau, lo=lo, hi=lowered)
     assert restarted.iterations > 0
     assert restarted.tableau.D.flags.f_contiguous
     # A row-major start is restarted on a column-major copy.
     row_major = replace(start.tableau, D=np.ascontiguousarray(start.tableau.D))
-    again = solve_dense(c, A, lowered, senses, start=row_major)
+    again = solve_dense(c, A, rhs, senses, start=row_major, lo=lo, hi=lowered)
     assert again.tableau.D.flags.f_contiguous
     assert again.iterations == restarted.iterations
     assert np.array_equal(again.x, restarted.x)
 
 
 def test_restart_that_loses_dual_feasibility_runs_the_cold_solve(monkeypatch):
-    # A negative reduced cost on a nonbasic column: the dual simplex would
-    # end primal feasible but not optimal, which the check against the rows
-    # cannot see.
-    c, A, _rhs, lowered, senses, start = _restart_case()
+    # A negative reduced cost on a nonbasic column without an upper bound:
+    # the dual simplex would end primal feasible but not optimal, which the
+    # check against the rows cannot see.
+    c, A, rhs, senses, lo, hi, lowered, start = _restart_case()
     t = start.tableau
     m = t.basis.size
-    nonbasic = np.setdiff1d(np.arange(t.n_real), t.basis)
+    nonbasic = np.setdiff1d(np.arange(c.size, t.n_real), t.basis)  # the slacks
     corrupted = replace(t, D=t.D.copy())
     corrupted.D[m + 1, nonbasic[corrupted.D[m + 1, nonbasic].argmax()]] = -1e-3
     colds = _spy_cold(monkeypatch)
-    got = solve_dense(c, A, lowered, senses, start=corrupted)
+    got = solve_dense(c, A, rhs, senses, start=corrupted, lo=lo, hi=lowered)
     assert len(colds) == 1
-    want = solve_dense(c, A, lowered, senses)
+    want = solve_dense(c, A, rhs, senses, lo=lo, hi=lowered)
     _assert_same_result(got, want)
     assert np.array_equal(got.tableau.D, want.tableau.D)
 
 
 def test_restart_past_its_budget_runs_the_cold_solve(monkeypatch):
-    c, A, _rhs, lowered, senses, start = _restart_case()
-    assert solve_dense(c, A, lowered, senses, start=start.tableau).iterations > 1
+    c, A, rhs, senses, lo, hi, lowered, start = _restart_case()
+    assert solve_dense(c, A, rhs, senses, start=start.tableau, lo=lo, hi=lowered).iterations > 1
     real_dual = simplex._dual_phase
 
-    def one_pivot_budget(D, basis, n_real, maxiter, *rest):
-        return real_dual(D, basis, n_real, 0, *rest)
+    def one_pivot_budget(D, basis, n_real, cols, maxiter, *rest):
+        return real_dual(D, basis, n_real, cols, 0, *rest)
 
     monkeypatch.setattr(simplex, "_dual_phase", one_pivot_budget)
     colds = _spy_cold(monkeypatch)
-    got = solve_dense(c, A, lowered, senses, start=start.tableau)
+    got = solve_dense(c, A, rhs, senses, start=start.tableau, lo=lo, hi=lowered)
     assert len(colds) == 1
-    want = solve_dense(c, A, lowered, senses)
+    want = solve_dense(c, A, rhs, senses, lo=lo, hi=lowered)
     assert got.status == want.status == "optimal"
     assert got.iterations == want.iterations + 1
     assert got.objective == want.objective

@@ -21,6 +21,7 @@ loop LP solves over those cases; how many of the cases both complete end
 lower, higher (by more than a relative 1e-9) or equal in energy on the
 change, with the median, min and max change/parent ratio; each higher case;
 and each case whose outcome (completed, or the error type raised) differs.
+It exits 1 when a case that completes on the parent raises on the change.
 
 The cases:
 
@@ -51,10 +52,11 @@ so the count falls against a loop that runs the deletion sweep (510 against
 The sixth line is the total ``SimplexResult.iterations`` over every
 ``solve_dense`` call the cases above make, counted by a spy wrapped around
 ``solve_dense`` wherever an optiloop module has imported it.  A call that
-restarts from an earlier tableau counts its dual simplex pivots, plus the
-cold solve's when the restart is discarded.  Two simplex kernels that pivot
-identically print the same total, so a kernel change that must keep every
-pivot shows it as one number.
+restarts from an earlier optimum's tableau counts its primal and dual
+simplex pivots and its bound flips, plus the cold solve's iterations when
+the restart is discarded.  Two simplex kernels that pivot identically print
+the same total, so a kernel change that must keep every pivot shows it as
+one number.
 """
 
 import contextlib
@@ -236,18 +238,21 @@ def _run_cases(root):
 
 
 def compare(parent, change):
-    """Lines comparing the ``cases`` of two checkouts by final energy."""
+    """Lines comparing the ``cases`` of two checkouts by final energy, and
+    the number of cases that complete on the parent but raise on the
+    change."""
     before, after = _run_cases(parent), _run_cases(change)
     lines = [
         "loop LP solves over the toy runs and 2x4 strategies: "
         f"parent {sum(c[2] for c in before.values())}, "
         f"change {sum(c[2] for c in after.values())}"
     ]
-    ratios, higher = [], []
+    ratios, higher, broken = [], [], 0
     for case, (outcome, energy, _) in before.items():
         new_outcome, new_energy, _ = after[case]
         if outcome != new_outcome:
             lines.append(f"outcome differs: {case}: {outcome} -> {new_outcome}")
+            broken += outcome == "ok"
         elif energy is not None:
             ratio = new_energy / energy if energy else (1.0 if new_energy == 0 else math.inf)
             ratios.append(ratio)
@@ -260,7 +265,7 @@ def compare(parent, change):
         f"{lower} lower, {len(higher)} higher, {len(ratios) - lower - len(higher)} equal; "
         f"median {statistics.median(ratios):.4f}, min {min(ratios):.4f}, max {max(ratios):.4f}"
     )
-    return lines + higher
+    return lines + higher, broken
 
 
 def _use_checkout(root):
@@ -273,8 +278,9 @@ def main(argv):
         print(json.dumps(cases()))
         return 0
     if len(argv) == 2:
-        print("\n".join(compare(*(Path(arg).resolve() for arg in argv))))
-        return 0
+        lines, broken = compare(*(Path(arg).resolve() for arg in argv))
+        print("\n".join(lines))
+        return 1 if broken else 0
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
