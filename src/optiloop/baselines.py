@@ -48,19 +48,24 @@ class StrategyResult:
     stats: dict
 
 
-def all_active(s, *, problem=None, memo=None) -> StrategyResult:
+def all_active(s, *, problem=None) -> StrategyResult:
     """Today's practice: every element on, flows routed by one LP solve.
 
-    ``problem`` is the built LP of ``s`` (built here when None).  The LP is
-    solved through ``memo`` (a fresh dict when None), so it is not solved
-    again when the memo already holds it.
+    ``problem`` is the built LP of ``s`` (built here when None).  The LP
+    goes through the loop's record of the problem's solves
+    (``_memo_solve``), so it is solved once per built problem, and a loop
+    run on the same problem opens on that solve.
     """
     p = lp.build_problem(s) if problem is None else problem
-    memo = {} if memo is None else memo
-    held = len(memo)
-    cfg = _all_on_configuration(p, lambda q: _memo_solve(memo, q))
-    stats = {"lp_solves": len(memo) - held}
-    return StrategyResult("all_active", cfg, energy_of(s, cfg), stats)
+    fresh = []
+
+    def solve(q):
+        sol, solved = _memo_solve(q)
+        fresh.append(solved)
+        return sol
+
+    cfg = _all_on_configuration(p, solve)
+    return StrategyResult("all_active", cfg, energy_of(s, cfg), {"lp_solves": sum(fresh)})
 
 
 def relaxed_bound(s) -> float:
@@ -72,10 +77,10 @@ def relaxed_bound(s) -> float:
     return sol.objective_value
 
 
-def optiloop_strategy(s, seed=0, rounds=3, *, problem=None, memo=None) -> StrategyResult:
+def optiloop_strategy(s, seed=0, rounds=3, *, problem=None) -> StrategyResult:
     """Adapter running the control loop as a benchmark strategy;
-    ``problem`` and ``memo`` are passed to ``run_loop``."""
-    state = run_loop(s, seed, rounds, problem=problem, memo=memo)
+    ``problem`` is passed to ``run_loop``."""
+    state = run_loop(s, seed, rounds, problem=problem)
     cfg = state.current
     return StrategyResult(
         "optiloop",

@@ -33,25 +33,15 @@ Each round then runs two procedures:
   placements draw no fixed power, so switching one off can only lengthen
   routes; they go off only with their nodes.
 
-Every LP goes through ``_solve``, which remembers what this run has solved:
-a run never solves the same LP twice.  An adopted probe's LP is the next
-guidance LP, a repeated shutdown phase repeats its predecessor's solves, and
-a repair round opens on the pinned LP the previous phase closed on; all of
-these are memo hits.  Runs started on one built problem may share one memo
-(``metrics.run_experiment`` does, per demand factor), and then none solves
-an LP another has solved.
-
-Every LP of a run is its base problem with other pins and, for the guides,
-tie-break costs, so every fresh solve restarts from an earlier optimum of
-the run (``lp.solve``'s ``start``; ``_solve``): an LP that pins every
-binary from the latest such optimum, which is a few dual pivots away, and
-any other LP from the latest optimum.  A shutdown guide is then the pinned
-LP before it with the active binaries widened to [0, 1], so a primal
-simplex continues from there, and a probe is its guide with some of them
-pinned to 0, which a dual simplex repairs.  ``LoopState`` holds those two
-solutions with their frames; besides them, only the memo's first entry,
-the all-on assignment every run opens on, keeps a frame
-(``_memo_solve``).
+Every LP is its base problem with other pins and, for the guides,
+tie-break costs.  ``_memo_solve`` solves each such LP once per built
+problem, however many runs share the problem, and keeps that record with
+the problem (``lp._Base``).  An adopted probe's LP, met again as the next
+guide, a repeated shutdown phase and a repair round's opening check
+therefore cost no solve.  A fresh solve restarts from the problem's latest
+optimum (``lp.solve``'s ``start``): a shutdown guide widens the pinned LP
+before it, which a primal simplex continues, and a probe pins some of its
+guide's binaries to 0, which a dual simplex repairs.
 
 Probes with equal relaxed values run in column order (a stable sort).  All
 randomness comes from one seeded generator, so runs are bit-reproducible.
@@ -98,17 +88,6 @@ class LoopState:
     activations: int = 0
     deactivations: int = 0
     telemetry: list = field(default_factory=list)
-    # (id of constraints, bytes of pins, bytes of objective) -> (problem,
-    # solution) for every LP solved through it: the dict the run was started
-    # with, which other runs on the same problem may share, until a demand
-    # swap gives the run a fresh one.  Holding the problem keeps its
-    # constraints tuple, and so that id, alive.
-    memo: dict = field(default_factory=dict)
-    # The latest solution holding a frame that this run met (its latest
-    # fresh optimum, or the memo's first entry, see ``_memo_solve``), and
-    # the latest such solution of an LP that pins every binary; see ``_solve``.
-    start: lp.LpSolution = None
-    pinned_start: lp.LpSolution = None
 
     def count_solves(self, phase, n=1):
         self.lp_solves[phase] = self.lp_solves.get(phase, 0) + n
@@ -257,58 +236,48 @@ def initial_solution(s):
     return _all_on_configuration(lp.build_problem(s), lp.solve)
 
 
-def _memo_solve(memo, p, start=None):
-    """Solution of ``p``, solved only when ``memo`` holds none for that LP;
-    a solve adds one entry to ``memo``, a hit adds none.
+def _memo_solve(p):
+    """(solution of ``p``, whether it was solved now): an LP of a base
+    problem is solved only the first time any copy of the problem meets it.
 
-    A fresh solve passes ``start`` on to ``lp.solve``, which restarts from
-    its frame when ``p`` allows, and returns the solution with its own
-    frame.  The memo keeps its first entry with the frame and every later
-    one without, so it pins one tableau.  Every run through one memo opens
-    on the same LP, the all-on assignment, so a run whose opening solve is
-    a hit restarts its next solve from the frame the run that solved it
-    had.
-    """
-    key = (id(p.constraints), p.pins.tobytes(), p.objective.tobytes())
-    if key in memo:
-        return memo[key][1]
-    sol = lp.solve(p, start=start)
-    memo[key] = (p, replace(sol, frame=None) if memo else sol)
-    return sol
-
-
-def _solve(state, phase, p):
-    """``_memo_solve`` through the run's memo, counting a solve for
-    ``phase``.
-
-    A fresh solve of an LP that pins every binary restarts from
-    ``state.pinned_start``, and any other from ``state.start`` (also a
-    pinned one while the run has no pinned start).  The tableau of an
+    The only code that reads or writes a base problem's record
+    (``lp._Base``).  A fresh solve of an LP that pins every binary restarts
+    from the record's ``pinned_start`` and any other from its ``start``
+    (also a pinned one while there is no pinned start).  The tableau of an
     optimum with every binary pinned stays sparse, and from it the next
     pinned LP, which only moves some pins, is a few dual pivots away; from
     a relaxed LP's optimum the dual simplex first has to pivot every
-    fractional binary out, on rows of that much denser tableau.  Any
-    solution holding a frame becomes the start of its kind.
+    fractional binary out, on rows of that much denser tableau.  A fresh
+    optimum becomes the start of its kind, so the record holds at most two
+    frames; the memo keeps every solution without its frame.
     """
-    held = len(state.memo)
+    base = lp._base(p)
+    key = (p.pins.tobytes(), p.objective.tobytes())
+    sol = base.memo.get(key)
+    if sol is not None:
+        return sol, False
     pinned = not (p.pins < 0).any()
-    start = state.pinned_start if pinned and state.pinned_start else state.start
-    sol = _memo_solve(state.memo, p, start)
-    if len(state.memo) > held:
-        state.count_solves(phase)
+    start = base.pinned_start if pinned and base.pinned_start else base.start
+    sol = lp.solve(p, start=start)
+    base.memo[key] = replace(sol, frame=None)
     if sol.frame is not None:
-        state.start = sol
+        base.start = sol
         if pinned:
-            state.pinned_start = sol
+            base.pinned_start = sol
+    return sol, True
+
+
+def _solve(state, phase, p):
+    """``_memo_solve``, counting a fresh solve for ``phase``."""
+    sol, fresh = _memo_solve(p)
+    if fresh:
+        state.count_solves(phase)
     return sol
 
 
-def start_loop(s, seed, *, problem=None, memo=None):
-    """A loop state holding the all-on configuration of ``s``.
-
-    ``problem`` is the built LP of ``s`` (built here when None) and ``memo``
-    the dict its LPs are solved through (a fresh one when None).
-    """
+def start_loop(s, seed, *, problem=None):
+    """A loop state holding the all-on configuration of ``s``; ``problem``
+    is the built LP of ``s`` (built here when None)."""
     p = lp.build_problem(s) if problem is None else problem
     state = LoopState(
         scenario=s,
@@ -316,7 +285,6 @@ def start_loop(s, seed, *, problem=None, memo=None):
         rng_seed=int(seed),
         rng=np.random.default_rng(int(seed)),
         base_problem=p,
-        memo={} if memo is None else memo,
     )
     state.current = _all_on_configuration(p, lambda q: _solve(state, "initial", q))
     _emit(state, "initial", energy_before=None, activated=[], deactivated=[])
@@ -505,15 +473,15 @@ def _check_invariant(state):
         )
 
 
-def run_loop(s, seed, rounds, scenario_hook=None, *, problem=None, memo=None):
+def run_loop(s, seed, rounds, scenario_hook=None, *, problem=None):
     """initial solution, then ``rounds`` of repair-then-save.
 
     ``scenario_hook(round_index, state)`` may return a replacement Scenario
     (e.g. with rescaled demand) that takes effect before that round's
     repair phase.  The current configuration is re-validated at every
-    phase boundary.  ``problem`` and ``memo`` are passed to ``start_loop``.
+    phase boundary.  ``problem`` is passed to ``start_loop``.
     """
-    state = start_loop(s, seed, problem=problem, memo=memo)
+    state = start_loop(s, seed, problem=problem)
     _check_invariant(state)
     for r in range(rounds):
         state.round_index = r
@@ -522,11 +490,6 @@ def run_loop(s, seed, rounds, scenario_hook=None, *, problem=None, memo=None):
             if swapped is not None and swapped is not state.scenario:
                 state.scenario = swapped
                 state.base_problem = lp.build_problem(swapped)
-                # No LP of the old problem recurs; a fresh dict leaves the
-                # old one to any run that shares it, and no LP of the new
-                # problem fits the old frame.
-                state.memo = {}
-                state.start = state.pinned_start = None
         fix_problems(state)
         _check_invariant(state)
         save_energy(state)

@@ -108,9 +108,9 @@ class LpProblem:
     objective: np.ndarray
     traffic_scale: float
     layout: dict = field(default_factory=dict)  # binary kind -> column slice
-    # id of a constraints tuple -> (the tuple, its assembled ``_Block``).  The
-    # copies ``fix``, ``relax`` and ``dataclasses.replace`` make share this
-    # dict, so the LPs of one base problem assemble its block once.
+    # id of a constraints tuple -> (the tuple, its ``_Base``).  The copies
+    # ``fix``, ``relax`` and ``dataclasses.replace`` make share this dict, so
+    # the LPs of one base problem share one block and one record of solves.
     blocks: dict = field(default_factory=dict, repr=False)
 
     def n_vars(self):
@@ -474,9 +474,24 @@ class _Block:
     tableau: object = None
 
 
-def _assemble(p):
-    """The ``_Block`` of ``p``'s rows, assembled once per constraints tuple
-    and shared by every copy of ``p`` that holds the same one.
+@dataclass(eq=False)
+class _Base:
+    """What the LPs of one base problem share: the ``block`` of its rows, and
+    the record of its solves that ``loop._memo_solve`` alone reads and
+    writes.  ``memo`` maps the bytes of an LP's pins and objective to its
+    solution without a frame; ``start`` is the latest fresh optimum and
+    ``pinned_start`` the latest one of an LP that pins every binary, both
+    with their frames."""
+
+    block: _Block
+    memo: dict = field(default_factory=dict)
+    start: LpSolution = None
+    pinned_start: LpSolution = None
+
+
+def _base(p):
+    """The ``_Base`` of ``p``'s constraints tuple, made at its first use and
+    shared by every copy of ``p`` that holds the same tuple.
 
     Raises ShapeMismatch before allocating anything when the tableau that
     ``solve_dense`` builds from the block could exceed ``DENSE_CELL_LIMIT``.
@@ -506,10 +521,15 @@ def _assemble(p):
     rhs = np.array([con.rhs for con in p.constraints], dtype=float)
     scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale < 1e-12] = 1.0
-    block = _Block(A, rhs, [con.sense for con in p.constraints], scale)
+    base = _Base(_Block(A, rhs, [con.sense for con in p.constraints], scale))
     # Holding the tuple keeps its id from being reused.
-    p.blocks[id(p.constraints)] = (p.constraints, block)
-    return block
+    p.blocks[id(p.constraints)] = (p.constraints, base)
+    return base
+
+
+def _assemble(p):
+    """The ``_Block`` of ``p``'s rows, assembled once per base problem."""
+    return _base(p).block
 
 
 def _bounds(p):

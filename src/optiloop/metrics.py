@@ -149,24 +149,17 @@ class ExperimentConfig:
 
 
 # Strategy name -> (whether its result depends on the seed, runner taking
-# the scaled scenario, its built problem, the factor's solve memo, the seed
-# and the ExperimentConfig).  The exact enumeration stays off the memo: it
-# can pose oracle_budget LPs, which the memo would hold.
+# the scaled scenario, its built problem, the seed and the ExperimentConfig).
 STRATEGIES = {
-    "all_active": (
-        False,
-        lambda s, p, memo, seed, c: baselines.all_active(s, problem=p, memo=memo),
-    ),
-    "consolidation": (False, lambda s, p, memo, seed, c: baselines.consolidation(s, problem=p)),
+    "all_active": (False, lambda s, p, seed, c: baselines.all_active(s, problem=p)),
+    "consolidation": (False, lambda s, p, seed, c: baselines.consolidation(s, problem=p)),
     "optiloop": (
         True,
-        lambda s, p, memo, seed, c: baselines.optiloop_strategy(
-            s, seed, c.rounds, problem=p, memo=memo
-        ),
+        lambda s, p, seed, c: baselines.optiloop_strategy(s, seed, c.rounds, problem=p),
     ),
     "exact": (
         False,
-        lambda s, p, memo, seed, c: baselines.exact_optimum(s, c.oracle_budget, problem=p),
+        lambda s, p, seed, c: baselines.exact_optimum(s, c.oracle_budget, problem=p),
     ),
 }
 
@@ -178,10 +171,11 @@ def run_experiment(config: ExperimentConfig):
     order, independent of execution details.  When ``config.out`` is set the
     rows are also written as CSV.
 
-    Each factor's scaled scenario is built into an LP once, and that LP and
-    one solve memo serve every strategy and seed of the factor.  A loop run
-    draws from its seed only to repair, and these runs start feasible and
-    stay so, so a later seed's LPs are memo hits.
+    Each factor's scaled scenario is built into an LP once, which every
+    strategy and seed of the factor shares, and with it the LPs solved on it
+    (``loop._memo_solve``).  The loop opens on all_active's LP, and a loop
+    run draws from its seed only to repair, which a run that starts all-on
+    at a fixed demand never does, so a later seed solves nothing.
     """
     if not set(config.strategies) <= STRATEGIES.keys():
         raise ShapeMismatch(f"unknown strategy in {config.strategies!r}")
@@ -190,14 +184,14 @@ def run_experiment(config: ExperimentConfig):
     else:
         base = generate(config.generator or GeneratorParams())
 
-    scaled, problems, memos = {}, {}, {}
+    scaled, problems = {}, {}
     baseline_by_factor = {}
     cache = {}
     for f in config.factors:
         scaled[f] = scale_demand(base, f) if f != 1.0 else base
-        problems[f], memos[f] = lp.build_problem(scaled[f]), {}
+        problems[f] = lp.build_problem(scaled[f])
         t0 = time.perf_counter()
-        baseline_by_factor[f] = baselines.all_active(scaled[f], problem=problems[f], memo=memos[f])
+        baseline_by_factor[f] = baselines.all_active(scaled[f], problem=problems[f])
         cache[("all_active", f)] = (baseline_by_factor[f], time.perf_counter() - t0)
 
     rows = []
@@ -210,7 +204,7 @@ def run_experiment(config: ExperimentConfig):
                     result, elapsed = cache[key]
                 else:
                     t0 = time.perf_counter()
-                    result = runner(scaled[f], problems[f], memos[f], seed, config)
+                    result = runner(scaled[f], problems[f], seed, config)
                     elapsed = time.perf_counter() - t0
                     cache[key] = (result, elapsed)
                 row = compute_metrics(
@@ -218,10 +212,6 @@ def run_experiment(config: ExperimentConfig):
                 )
                 row.wall_time = elapsed
                 rows.append(row)
-            if name == "optiloop":
-                # all_active ran above, so no later cell reads this memo:
-                # let its LPs go.
-                memos[f] = {}
 
     if config.out:
         write_csv(rows, config.out, include_timings=config.include_timings)

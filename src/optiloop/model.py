@@ -119,6 +119,8 @@ class LogicalGraph:
         for v in self.vnfs:
             if not 0 <= self.compute_per_bit[v] < math.inf:
                 raise ShapeMismatch(f"compute_per_bit({v}) must be finite and nonnegative")
+            if not 0 <= self.per_vnf_delay[v] < math.inf:
+                raise ShapeMismatch(f"delay of {v} must be finite and nonnegative")
         for e in sorted(self.endpoints):
             self.topological_order(e)  # raises CyclicLogicalGraph
 
@@ -198,6 +200,8 @@ class PhysicalGraph:
                 raise ShapeMismatch(f"self-loop link ({i},{j})")
             if not 0 < link.capacity < math.inf:
                 raise ShapeMismatch(f"link ({i},{j}) capacity must be finite and positive")
+            if not 0 <= link.delay < math.inf:
+                raise ShapeMismatch(f"link ({i},{j}) delay must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -371,12 +371,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             for e, bound in max_delay.items()
         }
         max_delay = {e: b for e, b in max_delay.items() if b is not None}
+        delays_enabled = doc.get("delays_enabled", False)
+        if not isinstance(delays_enabled, bool):
+            raise ScenarioFormatError("delays_enabled must be a JSON boolean")
         return Scenario(
             logical=logical,
             physical=physical,
             energy=energy,
             max_delay=max_delay,
-            delays_enabled=bool(doc.get("delays_enabled", False)),
+            delays_enabled=delays_enabled,
             provenance=doc.get("generator"),
         )
     except (KeyError, TypeError, ValueError, OverflowError, CyclicLogicalGraph) as exc:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -82,11 +83,33 @@ def test_all_active_dominates_loop(vepc):
 
 
 def test_all_active_counts_only_the_solves_it_makes(vepc):
-    p, memo = lp.build_problem(vepc), {}
-    first = all_active(vepc, problem=p, memo=memo)
-    again = all_active(vepc, problem=p, memo=memo)  # its LP is in the memo now
+    p = lp.build_problem(vepc)
+    first = all_active(vepc, problem=p)
+    again = all_active(vepc, problem=p)  # the problem holds its LP's solution now
     assert (first.stats["lp_solves"], again.stats["lp_solves"]) == (1, 0)
     assert again.energy == first.energy
+    # A copy of the problem with a record of its own solves the LP again.
+    own = all_active(vepc, problem=dataclasses.replace(p, blocks={}))
+    assert own.stats["lp_solves"] == 1 and own.energy == first.energy
+
+
+def test_loop_after_all_active_opens_on_its_solve(caplog):
+    def without_solves(result):
+        stats = {k: v for k, v in result.stats.items() if k != "lp_solves"}
+        return dataclasses.asdict(result.configuration), result.energy, stats
+
+    for toy in range(6):
+        s = make_toy(toy)
+        p = lp.build_problem(s)
+        all_active(s, problem=p)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="optiloop.loop"):
+            shared = optiloop_strategy(s, 0, 3, problem=p)
+        records = [json.loads(r.getMessage()) for r in caplog.records]
+        assert [r["lp_solves"] for r in records if r["phase"] == "initial"] == [0], toy
+        alone = optiloop_strategy(s, 0, 3)
+        assert shared.stats["lp_solves"] == alone.stats["lp_solves"] - 1, toy
+        assert without_solves(shared) == without_solves(alone), toy
 
 
 def test_all_active_infeasible_instance():

@@ -1,4 +1,4 @@
-"""``tools/fingerprint.py <parent> <change>``: its verdict on two case sets."""
+"""``tools/fingerprint.py <parent> <change>``: its verdict on two checkouts."""
 
 import importlib.util
 from pathlib import Path
@@ -15,6 +15,7 @@ def _tool():
 
 def test_compare_exits_1_only_when_a_completing_case_raises(monkeypatch, capsys):
     tool = _tool()
+    lines = [f"line {n}" for n in range(1, 7)]
     parent = {"a": ["ok", 10.0, 3], "b": ["InstanceInfeasible", None, 2], "c": ["ok", 5.0, 1]}
     changes = {
         "same": (dict(parent), 0),
@@ -22,9 +23,19 @@ def test_compare_exits_1_only_when_a_completing_case_raises(monkeypatch, capsys)
         "now completes": ({**parent, "b": ["ok", 7.0, 2]}, 0),
         "now raises": ({**parent, "a": ["RepairDiverged", None, 4]}, 1),
     }
-    runs = {"parent": parent, **{name: cases for name, (cases, _) in changes.items()}}
-    monkeypatch.setattr(tool, "_run_cases", lambda root: runs[root.name])
+    runs = {"parent": {"lines": lines, "cases": parent}}
+    for name, (cases, _) in changes.items():
+        # Every change but "same" moves the sixth line.
+        moved = lines if name == "same" else [*lines[:5], f"line 6 of {name}"]
+        runs[name] = {"lines": moved, "cases": cases}
+    monkeypatch.setattr(tool, "_run_checkout", lambda root: runs[root.name])
     for name, (_, code) in changes.items():
         assert tool.main(["parent", name]) == code, name
         out = capsys.readouterr().out
         assert ("outcome differs" in out) == (name in ("now completes", "now raises"))
+        # Both sides' six lines, then which of them differ.
+        shown = out.splitlines()
+        assert shown[:7] == ["parent:", *(f"  {line}" for line in lines)]
+        assert shown[7:14] == ["change:", *(f"  {line}" for line in runs[name]["lines"])]
+        differ = "none" if name == "same" else "6 (simplex iterations)"
+        assert shown[14] == f"fingerprint lines that differ: {differ}", name

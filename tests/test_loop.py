@@ -2,8 +2,10 @@
 
 import contextlib
 import dataclasses
+import gc
 import json
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -97,7 +99,7 @@ def test_initial_detects_doomed_instance():
 
 def test_noop_on_feasible_state_solves_once(vepc):
     # Right after start_loop the pinned check is the all-on LP already
-    # solved; from an empty memo it is solved exactly once.
+    # solved; on a problem of its own it is solved exactly once.
     started = start_loop(vepc, seed=0)
     fresh = _state_for(vepc, started.current)
     for state, solves in ((started, 0), (fresh, 1)):
@@ -490,7 +492,7 @@ def test_repeated_shutdown_phase_is_skipped():
         p0 = state.base_problem
         b = _binaries(p0, cfg.x, cfg.y, cfg.delta)
         powered_on = int(((p0.objective[: p0.n_binaries()] > 0.0) & (b == 1)).sum())
-        state.memo.clear()
+        lp._base(p0).memo.clear()
         save_energy(state)
         assert state.lp_solves["save_energy"] == solves + 1 + powered_on
         assert (state.current.x, state.current.y, state.current.delta) == (
@@ -533,19 +535,25 @@ def test_run_never_solves_the_same_lp_twice(monkeypatch, factor):
 
 def test_demand_swap_drops_the_old_problems_solutions():
     s = make_toy(3)
-    state = run_loop(
-        s, seed=0, rounds=4, scenario_hook=lambda r, st: scale_demand(s, 1.0 + r / 10)
-    )
-    current = state.base_problem.constraints
-    assert state.memo
-    assert all(p.constraints is current for p, _ in state.memo.values())
+    records = []
+
+    def hook(r, st):
+        records.append(weakref.ref(lp._base(st.base_problem)))
+        return scale_demand(s, 1.0 + r / 10)
+
+    state = run_loop(s, seed=0, rounds=4, scenario_hook=hook)
+    gc.collect()
+    # Each swap built a new problem; nothing holds an old one's record.
+    assert len(records) == 4 and all(ref() is None for ref in records)
+    assert lp._base(state.base_problem).memo
 
 
 def test_demand_swap_keeps_a_shared_memo():
     s = make_toy(3)
-    p, memo = lp.build_problem(s), {}
-    run_loop(s, 0, rounds=1, problem=p, memo=memo)
-    held = dict(memo)
+    p = lp.build_problem(s)
+    run_loop(s, 0, rounds=1, problem=p)
+    record = lp._base(p)
+    held = dict(record.memo)
     assert held
     state = run_loop(
         s,
@@ -553,15 +561,13 @@ def test_demand_swap_keeps_a_shared_memo():
         rounds=3,
         scenario_hook=lambda r, st: scale_demand(s, 1.3) if r == 1 else None,
         problem=p,
-        memo=memo,
     )
     assert state.base_problem is not p
-    assert state.memo is not memo  # the swap handed the run a fresh dict
-    assert all(memo.get(key) is entry for key, entry in held.items())
-    assert all(q.constraints is p.constraints for q, _ in memo.values())
-    current = state.base_problem.constraints
-    assert state.memo
-    assert all(q.constraints is current for q, _ in state.memo.values())
+    # Round 0 repeats the first run's LPs; the LPs after the swap go to the
+    # new problem's record.
+    assert lp._base(p) is record and record.memo == held
+    assert lp._base(state.base_problem) is not record
+    assert lp._base(state.base_problem).memo
 
 
 def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):
@@ -614,17 +620,22 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
         s = make_toy(toy)
         for seed in (0, 1):
             for factor in (None, 3.0):
-                states = []
+                problems = []
 
                 def hook(r, state, s=s, factor=factor):
-                    states.append(state)
+                    problems.append(state.base_problem)
                     return scale_demand(s, factor) if factor and r == 1 else None
 
                 with contextlib.suppress(InstanceInfeasible):
-                    run_loop(s, seed=seed, rounds=3, scenario_hook=hook)
-                # The memo keeps at most one tableau alive, its first entry's.
-                frames = [sol.frame for _, sol in states[0].memo.values()]
-                assert frames[1:].count(None) == len(frames) - 1
+                    state = run_loop(s, seed=seed, rounds=3, scenario_hook=hook)
+                    problems.append(state.base_problem)
+                # Each problem's record holds at most two frames, its
+                # starts'; every memo entry is frameless.
+                for p in problems:
+                    record = lp._base(p)
+                    assert all(sol.frame is None for sol in record.memo.values())
+                    held = [*record.memo.values(), record.start, record.pinned_start]
+                    assert sum(sol is not None and sol.frame is not None for sol in held) <= 2
     assert restarts["optimal"] >= 200 and restarts["infeasible"] >= 150, restarts
 
 

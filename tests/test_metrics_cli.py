@@ -333,7 +333,10 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert "line" in res.stderr
 
 
-@pytest.mark.parametrize("case", ["nan_demand", "nan_max_delay"])
+@pytest.mark.parametrize("case", [
+    "nan_demand", "nan_max_delay", "nan_link_delay", "neg_link_delay", "nan_vnf_delay",
+    "neg_vnf_delay", "string_delays_enabled",
+])  # fmt: skip
 def test_cli_nan_demand_exit_2(tmp_path, case):
     from test_scenario_io import write_malformed
 

@@ -217,6 +217,11 @@ MALFORMED = {  # case -> (path into the fixture's document, value put there)
     "nan_max_delay": (("max_delay", "RRH"), NAN),
     "inf_max_delay": (("max_delay", "RRH"), INF),
     "neg_max_delay": (("max_delay", "RRH"), -1.0),
+    "nan_link_delay": (("links", 0, "delay"), NAN),
+    "neg_link_delay": (("links", 0, "delay"), -1.0),
+    "nan_vnf_delay": (("vnfs", 0, "delay"), NAN),
+    "neg_vnf_delay": (("vnfs", 0, "delay"), -1.0),
+    "string_delays_enabled": (("delays_enabled",), "false"),
     "rate_overflows_float": (("demand", 0, "rate"), 10**400),
     "energy_overflows_float": (("energy", "idle_power"), 10**400),
 }

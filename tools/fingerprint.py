@@ -10,18 +10,19 @@ control loop made.  Two checkouts decide identically when the hashes match.
 The hash leaves out every ``lp_solves`` count, so a change that only saves
 solves keeps the hash and shows on the second line.  That total includes
 the optiloop rows' ``lp_solves`` of the CLI sweep below, whose cells of one
-demand factor share an LP and a solve memo: a row counts only the solves
-no earlier cell of its factor made (0 on the second seed's rows).
+demand factor share one built LP and so its solves: a row counts only the
+solves no earlier cell of its factor made (0 on the second seed's rows).
 
-Given two checkouts, it compares their decisions by energy instead: each
-checkout runs the toy runs and the 2x4 strategies below in its own
-subprocess (``fingerprint.py --cases <checkout>``, which prints each case's
-outcome, final energy and loop LP solves as JSON).  It prints both sides'
-loop LP solves over those cases; how many of the cases both complete end
-lower, higher (by more than a relative 1e-9) or equal in energy on the
-change, with the median, min and max change/parent ratio; each higher case;
-and each case whose outcome (completed, or the error type raised) differs.
-It exits 1 when a case that completes on the parent raises on the change.
+Given two checkouts, it runs each in its own subprocess
+(``fingerprint.py --json <checkout>``, which prints the six lines and each
+toy run's and 2x4 strategy's outcome, final energy and loop LP solves as
+JSON).  It prints both sides' six lines and which of them differ, then
+compares the decisions by energy: both sides' loop LP solves over those
+cases; how many of the cases both complete end lower, higher (by more than
+a relative 1e-9) or equal in energy on the change, with the median, min and
+max change/parent ratio; each higher case; and each case whose outcome
+(completed, or the error type raised) differs.  It exits 1 when a case that
+completes on the parent raises on the change.
 
 The cases:
 
@@ -85,6 +86,8 @@ SWEEP_ARGV = [
 ]  # fmt: skip
 CONFIG_FIELDS = ("x", "y", "delta", "tau", "transit", "processed")
 PHASES = ("initial", "fix_problems", "save_energy")
+LINES = ("decisions hash", "loop LP solves", "IIS hash", "IIS inner solves",
+         "LP solves by phase", "simplex iterations")  # fmt: skip
 
 
 def _config(cfg):
@@ -135,12 +138,17 @@ def _ladder_runs():
 
 def fingerprint():
     """Decisions hash, loop solve total and per-phase split of the toy runs,
-    the ladder strategies and the CLI sweep."""
+    the ladder strategies and the CLI sweep, and the cases: {case: [outcome,
+    final energy, loop LP solves]} over the toy runs and the ladder
+    strategies, where a run that raised has the error type as its outcome
+    and no energy."""
     from optiloop import cli
+    from optiloop.model import energy_of
 
     digest = hashlib.sha256()
     solves = 0
     by_phase = dict.fromkeys(PHASES, 0)
+    found = {}
 
     def feed(*parts):
         digest.update(("\t".join(map(str, parts)) + "\n").encode())
@@ -154,12 +162,17 @@ def fingerprint():
         feed(outcome, state.activations, state.deactivations)
         for record in state.telemetry:
             feed(_without_solves(record))
+        energy = energy_of(state.scenario, state.current).total if error is None else None
+        found[f"toy {toy} seed {seed} x{factor}"] = [
+            "ok" if error is None else type(error).__name__, energy, state.total_solves()
+        ]
 
     for gen_seed, result in _ladder_runs():
-        if result.name == "optiloop":
-            solves += result.stats["lp_solves"]
+        loop_solves = result.stats["lp_solves"] if result.name == "optiloop" else 0
+        solves += loop_solves
         feed("strategy", gen_seed, result.name, _config(result.configuration),
              repr(result.energy), _without_solves(result.stats))  # fmt: skip
+        found[f"2x4 gen {gen_seed} {result.name}"] = ["ok", result.energy.total, loop_solves]
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
@@ -171,24 +184,7 @@ def fingerprint():
         if row["strategy"] == "optiloop":
             solves += int(row["lp_solves"])
         feed(_without_solves(row))
-    return digest.hexdigest(), solves, by_phase
-
-
-def cases():
-    """{case: [outcome, final energy, loop LP solves]} over the toy runs and
-    the ladder strategies; a run that raised has the error type as its
-    outcome and no energy."""
-    from optiloop.model import energy_of
-
-    found = {}
-    for toy, seed, factor, state, error in _toy_runs():
-        energy = energy_of(state.scenario, state.current).total if error is None else None
-        outcome = "ok" if error is None else type(error).__name__
-        found[f"toy {toy} seed {seed} x{factor}"] = [outcome, energy, state.total_solves()]
-    for gen_seed, result in _ladder_runs():
-        solves = result.stats["lp_solves"] if result.name == "optiloop" else 0
-        found[f"2x4 gen {gen_seed} {result.name}"] = ["ok", result.energy.total, solves]
-    return found
+    return digest.hexdigest(), solves, by_phase, found
 
 
 def iis_fingerprint():
@@ -230,19 +226,44 @@ def _count_iterations():
     return total
 
 
-def _run_cases(root):
-    """The ``cases`` of the checkout at ``root``, run in a subprocess."""
-    argv = [sys.executable, str(Path(__file__).resolve()), "--cases", str(root)]
+def run():
+    """The six fingerprint lines and the cases of the imported checkout."""
+    iterations = _count_iterations()
+    digest, solves, by_phase, found = fingerprint()
+    iis_digest, iis_solves = iis_fingerprint()
+    lines = [
+        digest,
+        f"loop LP solves: {solves}",
+        iis_digest,
+        f"IIS inner solves: {iis_solves}",
+        "toy loop LP solves by phase: "
+        + ", ".join(f"{phase} {n}" for phase, n in by_phase.items()),
+        f"simplex iterations: {iterations[0]}",
+    ]
+    return lines, found
+
+
+def _run_checkout(root):
+    """{"lines": the six lines, "cases": the cases} of the checkout at
+    ``root``, run in a subprocess."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--json", str(root)]
     done = subprocess.run(argv, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
 def compare(parent, change):
-    """Lines comparing the ``cases`` of two checkouts by final energy, and
-    the number of cases that complete on the parent but raise on the
-    change."""
-    before, after = _run_cases(parent), _run_cases(change)
-    lines = [
+    """Lines giving both checkouts' fingerprint lines and which differ, and
+    comparing their cases by final energy; and the number of cases that
+    complete on the parent but raise on the change."""
+    ran = _run_checkout(parent), _run_checkout(change)
+    lines = []
+    for side, out in zip(("parent", "change"), ran):
+        lines += [f"{side}:"] + [f"  {line}" for line in out["lines"]]
+    paired = zip(LINES, *(out["lines"] for out in ran))
+    differ = [f"{n} ({name})" for n, (name, a, b) in enumerate(paired, 1) if a != b]
+    lines.append(f"fingerprint lines that differ: {', '.join(differ) or 'none'}")
+    before, after = (out["cases"] for out in ran)
+    lines += [
         "loop LP solves over the toy runs and 2x4 strategies: "
         f"parent {sum(c[2] for c in before.values())}, "
         f"change {sum(c[2] for c in after.values())}"
@@ -273,9 +294,10 @@ def _use_checkout(root):
 
 
 def main(argv):
-    if len(argv) == 2 and argv[0] == "--cases":
+    if len(argv) == 2 and argv[0] == "--json":
         _use_checkout(Path(argv[1]).resolve())
-        print(json.dumps(cases()))
+        lines, found = run()
+        print(json.dumps({"lines": lines, "cases": found}))
         return 0
     if len(argv) == 2:
         lines, broken = compare(*(Path(arg).resolve() for arg in argv))
@@ -285,17 +307,7 @@ def main(argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     _use_checkout(Path(argv[0]).resolve())
-
-    iterations = _count_iterations()
-    digest, solves, by_phase = fingerprint()
-    print(digest)
-    print(f"loop LP solves: {solves}")
-    digest, solves = iis_fingerprint()
-    print(digest)
-    print(f"IIS inner solves: {solves}")
-    print("toy loop LP solves by phase: "
-          + ", ".join(f"{phase} {n}" for phase, n in by_phase.items()))  # fmt: skip
-    print(f"simplex iterations: {iterations[0]}")
+    print("\n".join(run()[0]))
     return 0
 
 
