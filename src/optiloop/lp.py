@@ -161,6 +161,23 @@ class LpSolution:
 # Problem construction
 
 
+def _refs(kind, indices):
+    """The ``VarRef``s of ``kind`` over the index tuples ``indices``, made
+    without ``VarRef.__post_init__``, whose checks the refs ``build_problem``
+    generates always pass.  Each ref gets both fields, in declaration order,
+    before the next one is made: setting one field on every ref first makes
+    CPython give each instance of the class its own attribute dict from then
+    on, about 3.5 times the memory of a ref."""
+    new, put = object.__new__, object.__setattr__
+    refs = []
+    for index in indices:
+        ref = new(VarRef)
+        put(ref, "kind", kind)
+        put(ref, "index", index)
+        refs.append(ref)
+    return refs
+
+
 def build_problem(s):
     """Emit the constraint system for a scenario, every binary relaxed.
 
@@ -175,6 +192,17 @@ def build_problem(s):
     family 3, a placement's ``delta`` in family 5) first and the node's
     ``y`` gating it second; callers read the on/off cascades from them.
     ``fix``, ``relax`` and ``_with_modes`` set the binaries' pins.
+
+    The rows find their columns by position, never by key.  The live
+    commodities ``(e, v1, v2)`` are numbered endpoint-major (``comms``),
+    and flow ``f = n * len(comms) + k`` is commodity ``k`` at the n-th node:
+    its transit and processed columns are the f-th of their kinds.  Each
+    link's tau columns are collected while they are laid out, with the
+    commodities the link carries in column order (``carry``): all of them
+    on a link out of a node, the demanded first hops on a link out of an
+    endpoint, none on a link into one.  Families 1, 2, 4 and 7 list a
+    link's tau columns in that same order, so they read them from ``carry``
+    instead of probing for columns that mostly do not exist.
     """
     lg, pg = s.logical, s.physical
     eps = s.endpoint_ids()
@@ -197,46 +225,57 @@ def build_problem(s):
     live_pairs = {e: sorted(live[e]) for e in eps}
     t0 = max([*lg.ingress_demand.values(), *derived.values()], default=0.0)
     t0 = t0 if t0 > 0 else 1.0  # the largest logical flow
+    comms = [(e, *pair) for e in eps for pair in live_pairs[e]]
+    k_of = {comm: k for k, comm in enumerate(comms)}
+    n_comms = len(comms)
+    every = range(n_comms)
 
     variables, layout = [], {}
-    for kind, refs in (
-        ("x", [VarRef("x", lk) for lk in links]),
-        ("y", [VarRef("y", (c,)) for c in nodes]),
-        ("delta", [VarRef("delta", (c, v)) for c in nodes for v in vnfs]),
+    for kind, indices in (
+        ("x", links),
+        ("y", [(c,) for c in nodes]),
+        ("delta", [(c, v) for c in nodes for v in vnfs]),
     ):
-        layout[kind] = slice(len(variables), len(variables) + len(refs))
-        variables += refs
+        layout[kind] = slice(len(variables), len(variables) + len(indices))
+        variables += _refs(kind, indices)
     nb = len(variables)
     ep_set = lg.endpoints
-    for (i, j) in links:
+    # link -> (the commodities it carries, in column order; their tau terms
+    # with coefficient 1, which families 1, 2, 4 and 9 share)
+    carry = {}
+    for lk in links:
+        i, j = lk
         if j in ep_set:
             continue  # nothing terminates at an endpoint
-        if i in ep_set:
-            for v in first_hops[i]:
-                variables.append(VarRef("tau", (i, j, i, v, v)))
-        else:
-            for e in eps:
-                for (v1, v2) in live_pairs[e]:
-                    variables.append(VarRef("tau", (i, j, e, v1, v2)))
-    for c in nodes:
-        for e in eps:
-            for (v1, v2) in live_pairs[e]:
-                variables.append(VarRef("transit", (c, e, v1, v2)))
-    for c in nodes:
-        for e in eps:
-            for (v1, v2) in live_pairs[e]:
-                variables.append(VarRef("processed", (c, e, v1, v2)))
-
-    var_index = {ref: i for i, ref in enumerate(variables)}
+        ks = [k_of[(i, v, v)] for v in first_hops[i]] if i in ep_set else every
+        start = len(variables)
+        variables += _refs("tau", [lk + comms[k] for k in ks])
+        carry[lk] = (ks, [(pos, 1.0) for pos in range(start, len(variables))])
+    # The index of flow f, in its transit and processed columns and in its
+    # rows of families 1, 2 and 6.
+    flows = [(c,) + comm for c in nodes for comm in comms]
+    transit0 = len(variables)
+    variables += _refs("transit", flows)
+    processed0 = len(variables)
+    variables += _refs("processed", flows)
+    var_index = dict(zip(variables, range(len(variables))))
     nv = len(variables)
-    # The rows look their terms up by plain (kind, *index) keys.
-    at = {(ref.kind, *ref.index): i for i, ref in enumerate(variables)}
+    y0, delta0, n_vnfs = layout["y"].start, layout["delta"].start, len(vnfs)
 
-    def col(kind, *index):
-        return at[(kind, *index)]
+    def tau_term(lk, k):
+        """The 1.0-weighted term of commodity ``k``'s tau on ``lk``, or None."""
+        ks, terms = carry.get(lk, ((), ()))
+        return terms[ks.index(k)] if k in ks else None
 
-    def maybe(kind, *index):
-        return at.get((kind, *index))
+    def by_commodity(lks):
+        """The tau terms of the links ``lks``, in link order, sorted into one
+        list per commodity."""
+        rows = [[] for _ in every]
+        for lk in lks:
+            ks, terms = carry.get(lk, ((), ()))
+            for k, term in zip(ks, terms):
+                rows[k].append(term)
+        return rows
 
     in_links = {c: [] for c in nodes}
     out_links = {c: [] for c in nodes}
@@ -250,101 +289,81 @@ def build_problem(s):
             ep_out[i].append((i, j))
 
     cons = []
+    add = cons.append
+    drain = [(transit0 + f, -1.0) for f in range(len(flows))]  # families 1 and 2
 
     # Family 1: arrivals split into transit and processed traffic.
-    for c in nodes:
-        for e in eps:
-            for (v1, v2) in live_pairs[e]:
-                terms = []
-                for (i, j) in in_links[c]:
-                    pos = maybe("tau", i, j, e, v1, v2)
-                    if pos is not None:
-                        terms.append((pos, 1.0))
-                terms.append((col("transit", c, e, v1, v2), -1.0))
-                terms.append((col("processed", c, e, v1, v2), -1.0))
-                cons.append(LinearConstraint((1, (c, e, v1, v2)), tuple(terms), "eq", 0.0))
+    for n, c in enumerate(nodes):
+        f = n * n_comms
+        for terms in by_commodity(in_links[c]):
+            terms.append(drain[f])
+            terms.append((processed0 + f, -1.0))
+            add(LinearConstraint((1, flows[f]), tuple(terms), "eq", 0.0))
+            f += 1
 
     # Family 2: departures are transit plus chi-transformed processed traffic.
-    for c in nodes:
-        for e in eps:
-            for (vb, vc) in live_pairs[e]:
-                terms = []
-                for (i, j) in out_links[c]:
-                    pos = maybe("tau", i, j, e, vb, vc)
-                    if pos is not None:
-                        terms.append((pos, 1.0))
-                terms.append((col("transit", c, e, vb, vc), -1.0))
-                for va in vnfs:
-                    ratio = lg.chi_out(e, va, vb, vc)
-                    if ratio > 0.0:
-                        pos = maybe("processed", c, e, va, vb)
-                        if pos is not None:
-                            terms.append((pos, -ratio))
-                cons.append(LinearConstraint((2, (c, e, vb, vc)), tuple(terms), "eq", 0.0))
+    # The chi terms of commodity (e, vb, vc): (commodity (e, va, vb), -ratio).
+    feeds = []
+    for (e, vb, vc) in comms:
+        feed = []
+        for va in vnfs:
+            ratio = lg.chi_out(e, va, vb, vc)
+            if ratio > 0.0 and (e, va, vb) in k_of:
+                feed.append((k_of[(e, va, vb)], -ratio))
+        feeds.append(feed)
+    for n, c in enumerate(nodes):
+        f = n * n_comms
+        processed = processed0 + f
+        for terms, feed in zip(by_commodity(out_links[c]), feeds):
+            terms.append(drain[f])
+            for k, coef in feed:
+                terms.append((processed + k, coef))
+            add(LinearConstraint((2, flows[f]), tuple(terms), "eq", 0.0))
+            f += 1
 
     # Family 3: a link needs both node-side ends active.
-    for (i, j) in links:
-        xpos = col("x", i, j)
+    y_col = {c: y0 + n for n, c in enumerate(nodes)}
+    for xpos, (i, j) in enumerate(links):
         if i in pg.nodes:
-            cons.append(
-                LinearConstraint(
-                    (3, (i, j, "src")), ((xpos, 1.0), (col("y", i), -1.0)), "le", 0.0
-                )
-            )
+            add(LinearConstraint((3, (i, j, "src")), ((xpos, 1.0), (y_col[i], -1.0)), "le", 0.0))
         if j in pg.nodes:
-            cons.append(
-                LinearConstraint(
-                    (3, (i, j, "dst")), ((xpos, 1.0), (col("y", j), -1.0)), "le", 0.0
-                )
-            )
+            add(LinearConstraint((3, (i, j, "dst")), ((xpos, 1.0), (y_col[j], -1.0)), "le", 0.0))
 
     # Family 4: link capacity gated by activation.
-    for (i, j) in links:
-        terms = []
-        for e in eps:
-            if i in ep_set and e != i:
-                continue
-            for (v1, v2) in live_pairs[e]:
-                pos = maybe("tau", i, j, e, v1, v2)
-                if pos is not None:
-                    terms.append((pos, 1.0))
-        terms.append((col("x", i, j), -pg.links[(i, j)].capacity / t0))
-        cons.append(LinearConstraint((4, (i, j)), tuple(terms), "le", 0.0))
+    for xpos, (i, j) in enumerate(links):
+        taus = carry.get((i, j), ((), ()))[1]
+        terms = (*taus, (xpos, -pg.links[(i, j)].capacity / t0))
+        add(LinearConstraint((4, (i, j)), terms, "le", 0.0))
 
     # Family 5: deployment on active nodes only.
-    for c in nodes:
-        for v in vnfs:
-            cons.append(
-                LinearConstraint(
-                    (5, (c, v)), ((col("delta", c, v), 1.0), (col("y", c), -1.0)), "le", 0.0
-                )
-            )
+    for n, c in enumerate(nodes):
+        for m, v in enumerate(vnfs):
+            terms = ((delta0 + n * n_vnfs + m, 1.0), (y0 + n, -1.0))
+            add(LinearConstraint((5, (c, v)), terms, "le", 0.0))
 
     # Family 6: processing needs a deployed instance.
-    for c in nodes:
-        k = pg.nodes[c].compute / t0
-        for e in eps:
-            for (v1, v2) in live_pairs[e]:
-                terms = ((col("processed", c, e, v1, v2), 1.0), (col("delta", c, v2), -k))
-                cons.append(LinearConstraint((6, (c, e, v1, v2)), terms, "le", 0.0))
+    vnf_at = {v: m for m, v in enumerate(vnfs)}
+    hosted = [vnf_at[v2] for (_, _, v2) in comms]
+    for n, c in enumerate(nodes):
+        cap = pg.nodes[c].compute / t0
+        gates = [(delta0 + n * n_vnfs + m, -cap) for m in range(n_vnfs)]
+        f = n * n_comms
+        for m in hosted:
+            terms = ((processed0 + f, 1.0), gates[m])
+            add(LinearConstraint((6, flows[f]), terms, "le", 0.0))
+            f += 1
 
     # Family 7: compute covers processing plus software switching on egress.
-    for c in nodes:
+    per_bit = [lg.compute_per_bit[v2] for (_, _, v2) in comms]
+    for n, c in enumerate(nodes):
         spec = pg.nodes[c]
-        terms = []
-        for e in eps:
-            for (v1, v2) in live_pairs[e]:
-                terms.append(
-                    (col("processed", c, e, v1, v2), lg.compute_per_bit[v2])
-                )
+        processed = processed0 + n * n_comms
+        terms = [(processed + k, w) for k, w in enumerate(per_bit)]
         if spec.switch_cost > 0.0:
-            for (i, j) in out_links[c]:
-                for e in eps:
-                    for (v1, v2) in live_pairs[e]:
-                        pos = maybe("tau", i, j, e, v1, v2)
-                        if pos is not None:
-                            terms.append((pos, spec.switch_cost))
-        cons.append(LinearConstraint((7, (c,)), tuple(terms), "le", spec.compute / t0))
+            for lk in out_links[c]:
+                taus = carry.get(lk, ((), ()))[1]
+                terms += [(pos, spec.switch_cost) for pos, _ in taus]
+        add(LinearConstraint((7, (c,)), tuple(terms), "le", spec.compute / t0))
 
     # Family 8: per-endpoint delay budget (normalized by injected traffic).
     if s.delays_enabled:
@@ -357,54 +376,47 @@ def build_problem(s):
             )
             if total_l <= 0.0:
                 continue
+            own = [k_of[(e, *pair)] for pair in live_pairs[e]]
             terms = []
-            for (i, j) in links:
-                d = pg.links[(i, j)].delay
+            for lk in links:
+                d = pg.links[lk].delay
                 if d == 0.0:
                     continue
-                for (v1, v2) in live_pairs[e]:
-                    pos = maybe("tau", i, j, e, v1, v2)
-                    if pos is not None:
-                        terms.append((pos, d))
-            for c in nodes:
-                for (v1, v2) in live_pairs[e]:
-                    d = lg.per_vnf_delay[v2]
+                for k in own:
+                    term = tau_term(lk, k)
+                    if term is not None:
+                        terms.append((term[0], d))
+            for n in range(len(nodes)):
+                for k in own:
+                    d = lg.per_vnf_delay[comms[k][2]]
                     if d > 0.0:
-                        terms.append((col("processed", c, e, v1, v2), d))
-            cons.append(
-                LinearConstraint((8, (e,)), tuple(terms), "le", bound * total_l / t0)
-            )
+                        terms.append((processed0 + n * n_comms + k, d))
+            add(LinearConstraint((8, (e,)), tuple(terms), "le", bound * total_l / t0))
 
     # Family 9: injected traffic equals demand.
     for e in eps:
         for v in first_hops[e]:
+            k = k_of[(e, v, v)]
             terms = []
-            for (i, j) in ep_out[e]:
-                pos = maybe("tau", i, j, e, v, v)
-                if pos is not None:
-                    terms.append((pos, 1.0))
-            cons.append(
-                LinearConstraint(
-                    (9, (e, v)), tuple(terms), "eq", lg.ingress_demand[(e, v)] / t0
-                )
-            )
+            for lk in ep_out[e]:
+                term = tau_term(lk, k)
+                if term is not None:
+                    terms.append(term)
+            add(LinearConstraint((9, (e, v)), tuple(terms), "eq", lg.ingress_demand[(e, v)] / t0))
 
     # Objective: the affine energy model, in watts.
     em = s.energy
     objective = np.zeros(nv)
     objective[layout["y"]] = em.idle_power
     objective[layout["delta"]] = em.placement_power
-    for pos in range(nb, nv):
-        ref = variables[pos]
-        if ref.kind == "processed":
-            v2 = ref.index[3]
-            objective[pos] = em.proc_power_per_unit * lg.compute_per_bit[v2] * t0
-        elif ref.kind == "tau":
-            i = ref.index[0]
-            per_bit = em.link_energy_per_bit
-            if i not in ep_set:
-                per_bit += em.switch_energy_per_bit
-            objective[pos] = per_bit * t0
+    pos = nb  # the tau columns follow the binaries, link by link
+    for (i, _), (_, taus) in carry.items():
+        w = em.link_energy_per_bit
+        if i not in ep_set:
+            w += em.switch_energy_per_bit
+        objective[pos : pos + len(taus)] = w * t0
+        pos += len(taus)
+    objective[processed0:] = [em.proc_power_per_unit * w * t0 for w in per_bit] * len(nodes)
 
     return LpProblem(
         variables=tuple(variables),
@@ -618,38 +630,84 @@ def _sanitize(part):
     return "".join(out)
 
 
-def var_name(ref):
-    return "_".join([ref.kind] + [_sanitize(p) for p in ref.index])
-
-
-def row_name(cid):
-    family, index = cid
-    return "_".join([f"eq{family}", _FAMILY_SLUG[family]] + [_sanitize(p) for p in index])
-
-
 def _fmt(x):
     return repr(float(x))
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Clean(dict):
+    """``_sanitize`` of each id, computed once per distinct string.  Other
+    ids are sanitized at every lookup and never stored: 1, 1.0 and True are
+    one dict key but print apart."""
+
+    def __missing__(self, part):
+        text = _sanitize(part)
+        if type(part) is str:
+            self[part] = text
+        return text
+
+
+def _distinct(names, originals, what):
+    """Raise ShapeMismatch naming the first two ``originals`` that share a name."""
+    if len(set(names)) == len(names):
+        return
+    seen = {}
+    for name, original in zip(names, originals):
+        if name in seen:
+            raise ShapeMismatch(
+                f"{what} {seen[name]!r} and {original!r} would both be named "
+                f"{name!r} in the LP text"
+            )
+        seen[name] = original
+
+
 def to_lp_text(p):
-    """Serialize the problem (with its current pins) in CPLEX LP format."""
-    names = [var_name(ref) for ref in p.variables]
-    lines = ["Minimize", " obj:"]
-    terms = []
-    for name, coef in zip(names, p.objective):
-        if coef != 0.0:
-            terms.append(f" + {_fmt(coef)} {name}")
-    lines[1] += "".join(terms) if terms else " 0"
-    lines.append("Subject To")
-    for con in p.constraints:
-        parts = []
-        for pos, coef in con.terms:
-            sign = "+" if coef >= 0 else "-"
-            parts.append(f" {sign} {_fmt(abs(coef))} {names[pos]}")
-        op = "<=" if con.sense == "le" else "="
-        lines.append(f" {row_name(con.cid)}:{''.join(parts)} {op} {_fmt(con.rhs)}")
+    """Serialize the problem (with its current pins) in CPLEX LP format.
+
+    A name joins the column's kind, or the row's family, with its index's
+    ids, each with every character but letters, digits and ``_`` replaced
+    by ``_``.  Distinct ids can thus share a name (``n-1`` and ``n_1``, or
+    links ``("a_b", "c")`` and ``("a", "b_c")``), which would merge their
+    columns or rows: ShapeMismatch is raised instead, naming the two.
+
+    Each distinct id is sanitized once per call, and each distinct
+    coefficient and right-hand side formatted once.
+    """
+    clean = _Clean().__getitem__
+    names = ["_".join([ref.kind, *map(clean, ref.index)]) for ref in p.variables]
+    _distinct(names, p.variables, "columns")
+    heads = {family: f"eq{family}_{slug}" for family, slug in _FAMILY_SLUG.items()}
+    cids = [con.cid for con in p.constraints]
+    rows = ["_".join([heads[family], *map(clean, index)]) for family, index in cids]
+    _distinct(rows, cids, "rows")
+
+    num = _Memo(_fmt)
+    # A term's signed coefficient; 0.0 and -0.0, one key, print alike here.
+    term = _Memo(lambda c: f" {'+' if c >= 0 else '-'} {_fmt(abs(c))} ")
+    zero = {1.0: "0.0", -1.0: "-0.0"}  # a zero's text by its sign
+    obj = p.objective.tolist()
+    goal = [f" + {num[obj[pos]]} {names[pos]}" for pos in np.flatnonzero(p.objective).tolist()]
+    lines = ["Minimize", " obj:" + ("".join(goal) if goal else " 0"), "Subject To"]
+    op = {"le": "<=", "eq": "="}
+    for row, con in zip(rows, p.constraints):
+        rhs = con.rhs
+        lines.append(
+            f" {row}:{''.join([term[coef] + names[pos] for pos, coef in con.terms])} "
+            f"{op.get(con.sense, '=')} {num[rhs] if rhs else zero[math.copysign(1.0, rhs)]}"
+        )
     lines.append("Bounds")
-    for name, pin in zip(names, p.pins.tolist()):
-        lines.append(f" 0 <= {name} <= 1" if pin < 0 else f" {name} = {_fmt(pin)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    for col, pin in zip(names, p.pins.tolist()):
+        lines.append(f" 0 <= {col} <= 1" if pin < 0 else f" {col} = {_fmt(pin)}")
+    lines += ["End", ""]
+    return "\n".join(lines)

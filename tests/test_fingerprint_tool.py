@@ -15,7 +15,7 @@ def _tool():
 
 def test_compare_exits_1_only_when_a_completing_case_raises(monkeypatch, capsys):
     tool = _tool()
-    lines = [f"line {n}" for n in range(1, 7)]
+    lines = [f"line {n}" for n in range(1, 8)]
     parent = {"a": ["ok", 10.0, 3], "b": ["InstanceInfeasible", None, 2], "c": ["ok", 5.0, 1]}
     changes = {
         "same": (dict(parent), 0),
@@ -26,16 +26,16 @@ def test_compare_exits_1_only_when_a_completing_case_raises(monkeypatch, capsys)
     runs = {"parent": {"lines": lines, "cases": parent}}
     for name, (cases, _) in changes.items():
         # Every change but "same" moves the sixth line.
-        moved = lines if name == "same" else [*lines[:5], f"line 6 of {name}"]
+        moved = lines if name == "same" else [*lines[:5], f"line 6 of {name}", lines[6]]
         runs[name] = {"lines": moved, "cases": cases}
     monkeypatch.setattr(tool, "_run_checkout", lambda root: runs[root.name])
     for name, (_, code) in changes.items():
         assert tool.main(["parent", name]) == code, name
         out = capsys.readouterr().out
         assert ("outcome differs" in out) == (name in ("now completes", "now raises"))
-        # Both sides' six lines, then which of them differ.
+        # Both sides' seven lines, then which of them differ.
         shown = out.splitlines()
-        assert shown[:7] == ["parent:", *(f"  {line}" for line in lines)]
-        assert shown[7:14] == ["change:", *(f"  {line}" for line in runs[name]["lines"])]
+        assert shown[:8] == ["parent:", *(f"  {line}" for line in lines)]
+        assert shown[8:16] == ["change:", *(f"  {line}" for line in runs[name]["lines"])]
         differ = "none" if name == "same" else "6 (simplex iterations)"
-        assert shown[14] == f"fingerprint lines that differ: {differ}", name
+        assert shown[16] == f"fingerprint lines that differ: {differ}", name

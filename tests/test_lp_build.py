@@ -1,6 +1,8 @@
 """Problem construction, variable modes and the text dump."""
 
 import dataclasses
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -12,7 +14,13 @@ from optiloop import lp
 from optiloop.errors import InvalidMode, InvariantBroken, ShapeMismatch
 from optiloop.loop import _all_on, _assignment_modes, _assignment_problem
 from optiloop.model import derive_logical_flows, validate_configuration
-from optiloop.scenario import GeneratorParams, generate, scale_demand
+from optiloop.scenario import (
+    GeneratorParams,
+    generate,
+    scale_demand,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 GIG = 1e9
 
@@ -371,3 +379,159 @@ def test_solve_raises_on_an_optimum_that_breaks_a_row(monkeypatch):
                 lp.solve(p)
         else:
             assert lp.solve(p).max_residual == pytest.approx(offset, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The text dump: pinned bytes, distinct names, and a cross-check with HiGHS
+
+# SHA-256 of ``to_lp_text`` (first 16 hex digits) of each instance's LP:
+# fully relaxed, all-on pinned, and with the nodes relaxed under pinned links
+# and placements.  Taken at commit 680524d, before ``build_problem`` and
+# ``to_lp_text`` were rewritten for speed; a change to either must keep them.
+LP_TEXT_SHA256 = {
+    "toy 0": ("eeece5ecc633b8f3", "4efc471596c0e2a2", "8aa8c022f0bd30f5"),
+    "toy 1": ("44cb06420043db2f", "3ac3b12eac75f176", "346ae2def4c27ec7"),
+    "toy 2": ("83a82dfe87cbcfa8", "9b4e58ce338b2009", "a61cb2780239d4b5"),
+    "toy 3": ("f843d8fec6b14015", "9608b256e87e24a5", "7d01e6e8985f3a4c"),
+    "toy 4": ("f1c4e1d49e1a40bc", "2f185adc02b63b5a", "919e4fbc59490241"),
+    "toy 5": ("f6910099462fab2a", "309b44505d1138dd", "331aef61e8e82296"),
+    "toy 6": ("0ecf329d5db307ee", "cc61f0b04127d28a", "2d4f58e6ac9e05ec"),
+    "toy 7": ("0ef650dc978198ff", "cd937dfa99f6029f", "6290766055d117c5"),
+    "toy 8": ("1d3cd2ac742e7960", "5ce8fcc5ca0474d8", "f022b120a55d48de"),
+    "toy 9": ("0998d0c2f1a268ca", "86ada66d973a5d35", "a113d8682a7ce8b8"),
+    "toy 10": ("38385dd67c3949e3", "23f3e54813d155a0", "7aa329dbf3991439"),
+    "toy 11": ("074688674667e913", "8a578ee4fc5e6492", "3a50acf02f091dd9"),
+    "2x4 1": ("e61c052b96d05947", "78ee9dca9614e2a6", "0f4663110c45f950"),
+    "2x4 2": ("4f6bd8c20a16aca9", "5bd207a4bebf838d", "127950012f2402c5"),
+    "2x4 3": ("f8db6e46f0edeb8b", "256a15c68db40a84", "065b9750b46a7fed"),
+    "4x8 1": ("7f075703c06fab61", "77332a5ccf3c676e", "683648d345a4f8ae"),
+    "4x8 2": ("63282db6026782f3", "0eccd6a416615f63", "70d28b3483b051fd"),
+    "4x8 3": ("5e792c8af44ad612", "b990aaafa0713fa7", "e72bcc32fe95286b"),
+}
+
+
+def _instance(case):
+    """The scenario a case name of ``LP_TEXT_SHA256`` stands for."""
+    kind, seed = case.split()
+    if kind == "toy":
+        return make_toy(int(seed))
+    n_endpoints, n_nodes = map(int, kind.split("x"))
+    return generate(GeneratorParams(n_endpoints=n_endpoints, n_nodes=n_nodes, rng_seed=int(seed)))
+
+
+def _all_on_pinned(p):
+    return _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
+
+
+def _text_sha256(p):
+    return hashlib.sha256(lp.to_lp_text(p).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", LP_TEXT_SHA256)
+def test_lp_text_bytes_are_pinned(case):
+    p = lp.build_problem(_instance(case))
+    on = np.ones(p.n_binaries(), dtype=np.int8)
+    variants = (p, _assignment_problem(p, on), _assignment_problem(p, on, {"y": 1}))
+    assert tuple(_text_sha256(q)[:16] for q in variants) == LP_TEXT_SHA256[case]
+
+
+def test_lp_text_bytes_are_pinned_at_operator_scale():
+    p = lp.build_problem(generate(GeneratorParams(rng_seed=123)))
+    assert (len(p.constraints), p.n_vars()) == (33039, 53071)
+    assert _text_sha256(p) == "fce069cf129df286a4c68321b906493f2ac1428eabaf979070fe6610fe632c57"
+    assert (
+        _text_sha256(_all_on_pinned(p))
+        == "6a137dd1ffdd5da19c33e891752129569b625ac362c73a55e4ef4efce7a3a729"
+    )
+
+
+def test_built_variables_are_plain_var_refs():
+    for case in [c for c in LP_TEXT_SHA256 if not c.startswith("4x8")]:
+        p = lp.build_problem(_instance(case))
+        assert len(p.var_index) == p.n_vars()
+        for pos, v in enumerate(p.variables):
+            ref = lp.VarRef(v.kind, v.index)
+            assert type(v) is lp.VarRef and v == ref and hash(v) == hash(ref)
+            assert p.var_index[ref] == pos
+
+
+def _renamed(s, names):
+    """``s`` with the ids ``names`` maps renamed, through its JSON document."""
+    text = json.dumps(scenario_to_dict(s))
+    for old, new in names.items():
+        text = text.replace(json.dumps(old), json.dumps(new))
+    return scenario_from_dict(json.loads(text))
+
+
+def test_lp_text_refuses_names_that_collide():
+    s = generate(GeneratorParams(n_endpoints=1, n_nodes=3, rng_seed=1))
+    # Sanitized alike: both ids print as n_1.
+    p = lp.build_problem(_renamed(s, {"n01": "n-1", "n02": "n_1"}))
+    with pytest.raises(ShapeMismatch, match="x_n00_n_1") as err:
+        lp.to_lp_text(p)
+    assert "('n00', 'n-1')" in str(err.value) and "('n00', 'n_1')" in str(err.value)
+    # Joined alike: links ("a", "b_c") and ("a_b", "c") both print as x_a_b_c.
+    p = lp.build_problem(_renamed(s, {"e00": "a", "n00": "b_c", "n01": "a_b", "n02": "c"}))
+    with pytest.raises(ShapeMismatch, match="x_a_b_c") as err:
+        lp.to_lp_text(p)
+    assert "('a', 'b_c')" in str(err.value) and "('a_b', 'c')" in str(err.value)
+    # Rows are checked on their own.
+    p = lp.build_problem(s)
+    rows = list(p.constraints)
+    rows[0] = dataclasses.replace(rows[0], cid=(7, ("n-1",)))
+    rows[1] = dataclasses.replace(rows[1], cid=(7, ("n_1",)))
+    with pytest.raises(ShapeMismatch, match="eq7_cap_n_1") as err:
+        lp.to_lp_text(dataclasses.replace(p, constraints=tuple(rows)))
+    assert "(7, ('n-1',))" in str(err.value) and "(7, ('n_1',))" in str(err.value)
+    # An id that sanitizes to a name no other id takes still dumps.
+    text = lp.to_lp_text(lp.build_problem(_renamed(s, {"n01": "n-1"})))
+    assert "0 <= y_n_1 <= 1" in text and "n-1" not in text
+    # Ids that are one dict key but print apart keep their own names.
+    rows[0] = dataclasses.replace(rows[0], cid=(7, (1,)))
+    rows[1] = dataclasses.replace(rows[1], cid=(7, (1.0,)))
+    text = lp.to_lp_text(dataclasses.replace(p, constraints=tuple(rows)))
+    assert "\n eq7_cap_1:" in text and "\n eq7_cap_1_0:" in text
+
+
+def test_lp_text_keeps_the_sign_of_zero():
+    p = lp.build_problem(make_toy(0))
+    rows = list(p.constraints)
+    (pos, _), *rest = rows[0].terms
+    rows[0] = dataclasses.replace(rows[0], terms=((pos, -0.0), *rest), rhs=-0.0)
+    rows[1] = dataclasses.replace(rows[1], rhs=0.0)
+    lines = lp.to_lp_text(dataclasses.replace(p, constraints=tuple(rows))).splitlines()
+    first, second = lines[lines.index("Subject To") + 1 :][:2]
+    assert first.endswith(" -0.0") and f" + 0.0 {first.split()[3]}" in first
+    assert second.endswith(" 0.0") and not second.endswith("-0.0")
+
+
+def _highs(p, path):
+    """(status, objective) of HiGHS on ``p`` as read from its LP text."""
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+
+    path.write_text(lp.to_lp_text(p), encoding="utf-8")
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == HighsStatus.kOk
+    assert (h.getNumRow(), h.getNumCol()) == (len(p.constraints), p.n_vars())
+    assert h.run() == HighsStatus.kOk
+    status = {HighsModelStatus.kOptimal: "optimal", HighsModelStatus.kInfeasible: "infeasible"}
+    return status.get(h.getModelStatus(), str(h.getModelStatus())), h.getInfo().objective_function_value
+
+
+def test_lp_text_solves_alike_on_highs(tmp_path):
+    """HiGHS reads the dump and reaches ``lp.solve``'s status and optimum."""
+    cases = [_instance(c) for c in LP_TEXT_SHA256 if c.startswith(("toy", "2x4"))]
+    cases += [maker(seed) for maker in (make_capacity_starved, make_compute_starved) for seed in range(2)]
+    statuses = Counter()
+    for s in cases:
+        p = lp.build_problem(s)
+        for q in (p, _all_on_pinned(p)):
+            ours = lp.solve(q)
+            status, objective = _highs(q, tmp_path / "p.lp")
+            assert status == ours.status
+            if status == "optimal":
+                assert objective == pytest.approx(ours.objective_value, rel=1e-9)
+            statuses[status] += 1
+    assert statuses["optimal"] == 30 and statuses["infeasible"] == 8
+

@@ -14,9 +14,9 @@ demand factor share one built LP and so its solves: a row counts only the
 solves no earlier cell of its factor made (0 on the second seed's rows).
 
 Given two checkouts, it runs each in its own subprocess
-(``fingerprint.py --json <checkout>``, which prints the six lines and each
+(``fingerprint.py --json <checkout>``, which prints the seven lines and each
 toy run's and 2x4 strategy's outcome, final energy and loop LP solves as
-JSON).  It prints both sides' six lines and which of them differ, then
+JSON).  It prints both sides' seven lines and which of them differ, then
 compares the decisions by energy: both sides' loop LP solves over those
 cases; how many of the cases both complete end lower, higher (by more than
 a relative 1e-9) or equal in energy on the change, with the median, min and
@@ -58,6 +58,12 @@ simplex pivots and its bound flips, plus the cold solve's iterations when
 the restart is discarded.  Two simplex kernels that pivot identically print
 the same total, so a kernel change that must keep every pivot shows it as
 one number.
+
+The seventh line is one SHA-256 over ``lp.to_lp_text`` of the generator's
+operator-scale default (42 endpoints x 51 nodes, ``rng_seed=123``), fully
+relaxed and then all-on pinned: 33,039 rows by 53,071 columns.  Any change
+to what ``lp.build_problem`` builds or to how ``lp.to_lp_text`` prints it
+moves this line, whether or not a decision above moves.
 """
 
 import contextlib
@@ -86,8 +92,9 @@ SWEEP_ARGV = [
 ]  # fmt: skip
 CONFIG_FIELDS = ("x", "y", "delta", "tau", "transit", "processed")
 PHASES = ("initial", "fix_problems", "save_energy")
+OPERATOR_SEED = 123
 LINES = ("decisions hash", "loop LP solves", "IIS hash", "IIS inner solves",
-         "LP solves by phase", "simplex iterations")  # fmt: skip
+         "LP solves by phase", "simplex iterations", "operator-scale LP text hash")  # fmt: skip
 
 
 def _config(cfg):
@@ -207,6 +214,20 @@ def iis_fingerprint():
     return digest.hexdigest(), solves
 
 
+def lp_text_fingerprint():
+    """Hash of the operator-scale instance's LP text, relaxed and all-on
+    pinned."""
+    from optiloop import lp
+    from optiloop.loop import _all_on, _assignment_modes
+    from optiloop.scenario import GeneratorParams, generate
+
+    s = generate(GeneratorParams(rng_seed=OPERATOR_SEED))
+    p = lp.build_problem(s)
+    digest = hashlib.sha256(lp.to_lp_text(p).encode())
+    digest.update(lp.to_lp_text(lp._with_modes(p, _assignment_modes(p, *_all_on(s)))).encode())
+    return digest.hexdigest()
+
+
 def _count_iterations():
     """Wrap every optiloop module's ``solve_dense`` in a spy; returns a list
     whose one entry is the running total of simplex iterations."""
@@ -227,7 +248,7 @@ def _count_iterations():
 
 
 def run():
-    """The six fingerprint lines and the cases of the imported checkout."""
+    """The seven fingerprint lines and the cases of the imported checkout."""
     iterations = _count_iterations()
     digest, solves, by_phase, found = fingerprint()
     iis_digest, iis_solves = iis_fingerprint()
@@ -239,12 +260,13 @@ def run():
         "toy loop LP solves by phase: "
         + ", ".join(f"{phase} {n}" for phase, n in by_phase.items()),
         f"simplex iterations: {iterations[0]}",
+        lp_text_fingerprint(),
     ]
     return lines, found
 
 
 def _run_checkout(root):
-    """{"lines": the six lines, "cases": the cases} of the checkout at
+    """{"lines": the seven lines, "cases": the cases} of the checkout at
     ``root``, run in a subprocess."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--json", str(root)]
     done = subprocess.run(argv, capture_output=True, text=True, check=True)
