@@ -97,7 +97,7 @@ def compute_iis(p, solution=None, *, minimal=True):
     if solution.status != "infeasible":
         raise NotInfeasible(f"problem status is {solution.status}")
 
-    cids = [con.cid for con in p.constraints]
+    cids = p.constraints.cids()
     ordered = sorted(
         range(len(cids)), key=lambda r: (_DELETION_ORDER[cids[r][0]], cids[r][1])
     )

@@ -5,6 +5,8 @@ leading columns (``LpProblem.layout``: links, nodes, placements).  Every LP
 it solves is the base problem with each binary pinned at its value in ``b``
 or relaxed to [0, 1] (``_assignment_problem``); switching one follows the
 activation rows (``_switch``), and ``_configuration`` hands results out.
+Solutions are read by column from their vector ``x``: the relaxed values
+that order and weight the candidates, and the flows of an operating point.
 
 The loop keeps a feasible operating point at all times.  It starts from the
 everything-on solution (if any feasible point exists, one exists with every
@@ -138,22 +140,34 @@ def weighted_choice(rng, items, weights):
 _ELEMENT = {"x": "link", "y": "node", "delta": "placement"}
 
 
-def _key(ref):
+def _key(kind, index):
     """Configuration key of a binary column: a node's id, else the index."""
-    return ref.index[0] if ref.kind == "y" else ref.index
+    return index[0] if kind == "y" else index
 
 
 def _element(p, col):
     """(element kind, configuration key) of binary column ``col`` of ``p``."""
-    ref = p.variables[col]
-    return _ELEMENT[ref.kind], _key(ref)
+    kind, index = p.variables.locate(col)
+    return _ELEMENT[kind], _key(kind, index)
+
+
+def _binary_runs(p):
+    """(kind, first column, configuration keys) of each run of binary
+    columns of ``p``."""
+    nb = p.n_binaries()
+    for kind, start, indices in p.variables.runs:
+        if start >= nb:
+            break
+        yield kind, start, [_key(kind, index) for index in indices[: nb - start]]
 
 
 def _binaries(p, x, y, delta):
     """0/1 vector over the binary columns of ``p`` holding the values of the
     dicts ``x``, ``y``, ``delta``; keys absent from a dict read 0."""
     held = {"x": x, "y": y, "delta": delta}
-    values = [held[ref.kind].get(_key(ref), 0) for ref in p.binary_refs()]
+    values = []
+    for kind, _, keys in _binary_runs(p):
+        values += [held[kind].get(key, 0) for key in keys]
     return np.array(values, dtype=np.int8)
 
 
@@ -179,8 +193,9 @@ def _gates(p):
     """(gated, gate) column arrays of the activation rows of families 3 and
     5, which list the gated binary first: a link is gated by its node ends,
     a placement by its node."""
-    rows = [con.terms for con in p.constraints if con.cid[0] in (3, 5)]
-    return np.array([(t[0][0], t[1][0]) for t in rows], dtype=np.intp).reshape(-1, 2).T
+    rows = p.constraints
+    first = rows.indptr[np.flatnonzero(np.isin(rows.families(), (3, 5)))]
+    return np.stack([rows.indices[first], rows.indices[first + 1]])
 
 
 def _switch(b, col, value, gates):
@@ -199,12 +214,14 @@ def _configuration(p, b, solution):
     a row but dropped on the terms that balance it would break the row."""
     thresh = 1e-9 * max(1.0, p.traffic_scale)
     binaries = {kind: {} for kind in lp.BINARY_KINDS}
-    for ref, value in zip(p.variables, b.tolist()):
-        binaries[ref.kind][_key(ref)] = value
+    for kind, start, keys in _binary_runs(p):
+        binaries[kind].update(zip(keys, b[start : start + len(keys)].tolist()))
     flows = {kind: {} for kind in lp.FLOW_KINDS}
-    for ref, val in solution.values.items():
-        if ref.kind in flows and val > thresh:
-            flows[ref.kind][ref.index] = val
+    for kind, start, indices in p.variables.runs:
+        if kind in flows:
+            x = solution.x[start : start + len(indices)]
+            hot = np.flatnonzero(x > thresh)
+            flows[kind].update(zip([indices[i] for i in hot.tolist()], x[hot].tolist()))
     return NetworkConfiguration(binaries["x"], binaries["y"], binaries["delta"], **flows)
 
 
@@ -341,12 +358,11 @@ def fix_problems(state):
             candidates = (cols.start + np.flatnonzero(b[cols] == 0)).tolist()
             if family not in report.families or not candidates:
                 continue
-            col_of = {_key(p0.variables[col]): col for col in candidates}
+            col_of = {_key(*p0.variables.locate(col)): col for col in candidates}
             keys = list(col_of)
             # The candidates' relaxed values; an infeasible guide has none.
-            guide = _guidance(_assignment_problem(p0, b, relax))
-            values = _solve(state, "fix_problems", guide).values
-            weights = np.array([values.get(p0.variables[c], 0.0) for c in candidates])
+            guide = _solve(state, "fix_problems", _guidance(_assignment_problem(p0, b, relax)))
+            weights = guide.x[candidates] if guide.is_feasible else np.zeros(len(candidates))
             if kind == "delta" and not (weights > 0.0).any():
                 # uniform fallback, restricted to nodes that can host
                 hostable = [key for key in keys if s.physical.nodes[key[0]].compute > 0]
@@ -414,8 +430,7 @@ def save_energy(state):
             raise InvariantBroken(
                 f"shutdown guidance LP is {guide.status} at a feasible operating point"
             )
-        relaxed = [guide.values[p0.variables[col]] for col in candidates.tolist()]
-        candidates = candidates[np.argsort(relaxed, kind="stable")]
+        candidates = candidates[np.argsort(guide.x[candidates], kind="stable")]
 
         for col in candidates.tolist():
             after = b.copy()

@@ -17,6 +17,8 @@ Scenario files are UTF-8 JSON with the top-level keys ``endpoints``,
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,22 +128,52 @@ class GeneratorParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_endpoints", "n_nodes", "attachments_per_endpoint", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
         if self.n_endpoints < 1 or self.n_nodes < 1:
             raise ShapeMismatch("generator needs at least one endpoint and one node")
         if not (1 <= self.attachments_per_endpoint <= self.n_nodes):
             raise ShapeMismatch("attachments_per_endpoint out of range")
-        lo, hi = self.endpoint_demand_range
-        if not 0 < lo <= hi < np.inf:  # also rejects NaN
-            raise ShapeMismatch("endpoint_demand_range must be positive, finite, ordered")
-        if not (0.0 <= self.downlink_fraction <= 1.0):
-            raise ShapeMismatch("downlink_fraction must lie in [0, 1]")
-        for name in (
-            "endpoint_link_capacity",
-            "core_link_capacity",
-            "node_processing_capacity",
+        if self.rng_seed < 0:
+            raise ShapeMismatch(f"rng_seed must be nonnegative, got {self.rng_seed}")
+        demand = self.endpoint_demand_range
+        if not (
+            isinstance(demand, (tuple, list))
+            and len(demand) == 2
+            and all(_is_real(v) for v in demand)
+            and 0 < demand[0] <= demand[1] < math.inf  # also rejects NaN
         ):
-            if getattr(self, name) <= 0:
-                raise ShapeMismatch(f"{name} must be positive")
+            raise ShapeMismatch("endpoint_demand_range must be positive, finite, ordered")
+        for name, test, what in (
+            ("downlink_fraction", _fraction, "lie in [0, 1]"),
+            ("chord_fraction", _fraction, "lie in [0, 1]"),
+            ("endpoint_link_capacity", _positive, "be finite and positive"),
+            ("core_link_capacity", _positive, "be finite and positive"),
+            ("node_processing_capacity", _positive, "be finite and positive"),
+            ("node_switch_cost", _nonnegative, "be finite and nonnegative"),
+            ("gw_to_mme", _nonnegative, "be finite and nonnegative"),
+        ):
+            value = getattr(self, name)
+            if not (_is_real(value) and test(value)):  # NaN fails every test
+                raise ShapeMismatch(f"{name} must {what}, got {value!r}")
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _fraction(value):
+    return 0.0 <= value <= 1.0
+
+
+def _positive(value):
+    return 0.0 < value < math.inf
+
+
+def _nonnegative(value):
+    return 0.0 <= value < math.inf
 
 
 # Verify generated instances by solving the all-on problem only while that

@@ -1,8 +1,11 @@
 """Delay budgets (optional family) and the safe-concurrency claims."""
 
 import dataclasses
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from conftest import single_vnf_scenario
@@ -15,6 +18,7 @@ from optiloop.model import (
     energy_of,
     validate_configuration,
 )
+from optiloop.scenario import GeneratorParams, generate
 
 GIG = 1e9
 
@@ -85,6 +89,39 @@ def test_concurrent_solves_match_serial(vepc):
     for r in results:
         assert r.objective_value == serial.objective_value
         assert r.values == serial.values
+
+
+def test_concurrent_first_reads_of_a_problem_agree():
+    # A built problem makes its refs, rows and lookup tables at their first
+    # use, and threads may share it: every reader must see them whole.
+    s = generate(GeneratorParams(n_endpoints=4, n_nodes=8, rng_seed=1))
+    want = lp.build_problem(s)
+    refs, rows = list(want.variables), list(want.constraints)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            p = lp.build_problem(s)
+            start = threading.Barrier(8)
+
+            def read(k):
+                # Reader k starts k eighths of the way in, at another kind of
+                # column and another family of rows, and reads them all.
+                cols = np.roll(np.arange(len(refs)), -k * len(refs) // 8).tolist()
+                at = np.roll(np.arange(len(rows)), -k * len(rows) // 8).tolist()
+                start.wait(timeout=60)
+                positions = [p.var_index[refs[i]] for i in cols]
+                return cols, positions, [p.constraints[r] for r in at], at
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read, k) for k in range(8)]
+                for future in futures:
+                    cols, positions, got, at = future.result(timeout=60)
+                    assert positions == cols
+                    assert got == [rows[r] for r in at]
+            assert p.constraints.cids() == [con.cid for con in rows]
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_concurrent_loops_are_independent(vepc):

@@ -204,11 +204,11 @@ def test_configuration_drops_balanced_lp_noise():
         and lp.VarRef("processed", k) in p.var_index
         and all(sol.values[ref] == 0.0 for ref in refs)
     )
-    noisy = dict(sol.values)
-    noisy[into[key][0]] = 2e-12 * t0
-    noisy[into[key][1]] = -1.5e-12 * t0
-    noisy[lp.VarRef("processed", key)] = 0.5e-12 * t0
-    cfg = _configuration(p, b, dataclasses.replace(sol, values=noisy))
+    noisy = sol.x.copy()
+    noisy[p.var_index[into[key][0]]] = 2e-12 * t0
+    noisy[p.var_index[into[key][1]]] = -1.5e-12 * t0
+    noisy[p.var_index[lp.VarRef("processed", key)]] = 0.5e-12 * t0
+    cfg = _configuration(p, b, dataclasses.replace(sol, x=noisy))
     assert validate_configuration(s, cfg, tol=1e-6) == []
 
 

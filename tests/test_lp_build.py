@@ -1,6 +1,7 @@
 """Problem construction, variable modes and the text dump."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -453,6 +454,133 @@ def test_built_variables_are_plain_var_refs():
             ref = lp.VarRef(v.kind, v.index)
             assert type(v) is lp.VarRef and v == ref and hash(v) == hash(ref)
             assert p.var_index[ref] == pos
+
+
+# SHA-256 (first 16 hex digits) of each instance's relaxed LP as its views
+# read it: every row's (cid, terms, sense, rhs) through ``constraints``,
+# every column's (kind, index) through ``variables``, and the bytes of the
+# assembled block (A, rhs, senses, scale).  Taken at commit ef7b243, where
+# ``build_problem`` made one LinearConstraint per row and one VarRef per
+# column; a change to how the rows and columns are stored must keep them.
+LP_IDENTITY_SHA256 = {
+    "toy 0": ("b31138efadbc5919", "f4cb525196d33dc2", "88505e0278e10690"),
+    "toy 1": ("eeefed2323e5c448", "b3f10d7bdc6f6418", "e0e5741794b58d38"),
+    "toy 2": ("77c5158c94377e45", "4efc4674242bf3a3", "e73f10822e62998e"),
+    "toy 3": ("5aa8e493cfe461b9", "bd6643fa4a355145", "3967fc3a34dc7a96"),
+    "toy 4": ("8f83c7d9031cf9d9", "cac8024dbecd7330", "d81a15283fb8b8a7"),
+    "toy 5": ("3b3fd50a60559b27", "cac8024dbecd7330", "dcc16d1b54b15e03"),
+    "toy 6": ("2bf924b023d251d6", "d91277daaf8cfc0b", "3e9f9a37f55c0bea"),
+    "toy 7": ("9e6b7dd04ca0e483", "271e92d0563a9bff", "bedbd096b26b7785"),
+    "toy 8": ("4a9363826e562c7c", "c022cd01d834beaf", "0f941bf7ad4a7d1e"),
+    "toy 9": ("5a8a9a3a42f6ae37", "67f8ffb6cfd389f0", "594e7aef124f26d2"),
+    "toy 10": ("2fadb1fb2a5a7565", "f4cb525196d33dc2", "43b51749210a16e6"),
+    "toy 11": ("0c3a00ec119a5f8f", "ddf73d0b95049c44", "9729f663bd268402"),
+    "2x4 1": ("a37763c8ec29e17c", "733973cad3e76455", "483a3097002c52ee"),
+    "2x4 2": ("d9c0ed31e95c1bbf", "fdd9d98d9b4063d6", "d7fbe9c05de0d550"),
+    "2x4 3": ("84b62bd6d8950bcf", "3f286b31ca6a2492", "1a599efaf778ccc2"),
+    "4x8 1": ("daf62a8e944e0532", "2cd27887a15b1869", "b10d877c2bc24f90"),
+    "4x8 2": ("426df3a729f8bf0a", "f9674eb525f195e2", "6f07dfa92f1e5a41"),
+    "4x8 3": ("a528e7927c0df9d0", "efb04f87c217e86f", "84191c12f7f7d637"),
+}
+
+
+def _rows_sha256(p):
+    h = hashlib.sha256()
+    for con in p.constraints:
+        h.update(repr((con.cid, con.terms, con.sense, con.rhs)).encode())
+    return h.hexdigest()[:16]
+
+
+def _columns_sha256(p):
+    h = hashlib.sha256()
+    for ref in p.variables:
+        h.update(repr((ref.kind, ref.index)).encode())
+    return h.hexdigest()[:16]
+
+
+def _block_sha256(p):
+    b = lp._assemble(p)
+    h = hashlib.sha256()
+    for part in (b.A.tobytes(), b.rhs.tobytes(), repr(b.senses).encode(), b.scale.tobytes()):
+        h.update(part)
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", LP_IDENTITY_SHA256)
+def test_rows_columns_and_block_are_pinned(case):
+    p = lp.build_problem(_instance(case))
+    got = (_rows_sha256(p), _columns_sha256(p), _block_sha256(p))
+    assert got == LP_IDENTITY_SHA256[case]
+
+
+def test_rows_and_columns_are_pinned_at_operator_scale():
+    p = lp.build_problem(generate(GeneratorParams(rng_seed=123)))
+    assert (_rows_sha256(p), _columns_sha256(p)) == ("de5c8ab6cc41ac35", "ca6f7db24a542a6d")
+
+
+def _delayed_toy(seed):
+    """Toy ``seed`` with link and processing delays and a delay budget on
+    every other endpoint, so that family 8 is built."""
+    s = make_toy(seed)
+    links = {
+        lk: dataclasses.replace(link, delay=(0.0, 0.001, 0.004)[k % 3])
+        for k, (lk, link) in enumerate(sorted(s.physical.links.items()))
+    }
+    vnfs = sorted(s.logical.vnfs)
+    return dataclasses.replace(
+        s,
+        physical=dataclasses.replace(s.physical, links=links),
+        logical=dataclasses.replace(
+            s.logical, per_vnf_delay={v: 0.002 * (m % 2) for m, v in enumerate(vnfs)}
+        ),
+        delays_enabled=True,
+        max_delay={e: 0.02 for e in sorted(s.logical.endpoints)[::2]},
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, rows, text",
+    [
+        # SHA-256 of the rows as above and of ``to_lp_text``, taken at
+        # commit ef7b243 like the pins above.
+        (0, "2ca93d03ae9906a7", "64d32f1087f01a81"),
+        (1, "042382499b56fea6", "88fe6b5eb1a97d35"),
+        (2, "c019144c7fb9914d", "42d4393fef86a4b9"),
+        (3, "3a7ba6363ddcd747", "73616bf48028b38e"),
+    ],
+)
+def test_delay_rows_are_pinned(seed, rows, text):
+    p = lp.build_problem(_delayed_toy(seed))
+    assert Counter(con.cid[0] for con in p.constraints)[8] == 1
+    assert (_rows_sha256(p), _text_sha256(p)[:16]) == (rows, text)
+
+
+def test_build_and_dump_make_no_row_or_flow_objects(monkeypatch):
+    # What the operator-scale benchmark asks of a problem: build, dump, the
+    # row count and the binary refs.  None of it makes a LinearConstraint,
+    # and the only VarRefs made are the binaries'.
+    made = Counter()
+    for cls in (lp.LinearConstraint, lp.VarRef):
+        real = cls.__init__
+
+        def spy(self, *args, real=real, **kwargs):
+            real(self, *args, **kwargs)
+            made[getattr(self, "kind", "row")] += 1
+
+        monkeypatch.setattr(cls, "__init__", spy)
+
+    def alive():
+        kinds = (lp.LinearConstraint, lp.VarRef)
+        return Counter(type(o).__name__ for o in gc.get_objects() if type(o) in kinds)
+
+    before = alive()
+    p = lp.build_problem(_instance("2x4 1"))
+    text = lp.to_lp_text(p)
+    assert len(p.constraints) == 174
+    refs = p.binary_refs()
+    assert made == Counter(ref.kind for ref in refs) and len(refs) == p.n_binaries()
+    assert alive() - before == Counter({"VarRef": len(refs)})
+    assert text == lp.to_lp_text(lp.build_problem(_instance("2x4 1")))
 
 
 def _renamed(s, names):

@@ -410,6 +410,8 @@ def test_cli_operator_scale_generate_exits_5(tmp_path):
         (["--gen-demand", "5,1"], 5),
         (["--gen-demand", "nan,1"], 5),
         (["--gen-demand", "1,inf"], 5),
+        (["--gen-core-capacity", "nan"], 5),
+        (["--gen-node-capacity", "inf"], 5),
         (["--oracle-budget", "0"], 2),
         (["--oracle-budget=-5"], 2),
         (["--factors", "nan"], 2),
@@ -434,6 +436,30 @@ def test_cli_malformed_argument_exits_without_traceback(tmp_path, extra, code):
         assert res.stderr.startswith("error: ShapeMismatch:")
         assert res.stderr.count("\n") == 1
     assert not out.exists()  # rejected before any strategy ran
+
+
+def test_runtime_path_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing its HiGHS costs a fresh
+    # process about a third of a second and tens of MB of memory.
+    script = f"""
+import sys
+import optiloop
+from optiloop import cli, lp
+from optiloop.scenario import GeneratorParams, generate
+
+code = cli.main(["run", "--generate", "--gen-endpoints", "1", "--gen-nodes", "3",
+                 "--out", {str(tmp_path / "r.csv")!r}])
+assert code == 0, code
+p = lp.build_problem(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1)))
+assert lp.to_lp_text(p).endswith("End\\n")
+assert lp.solve(p).status == "optimal"
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env(), cwd=tmp_path
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_log_verbosity_env(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.resources
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -115,6 +116,41 @@ def test_generator_params_validated():
         GeneratorParams(attachments_per_endpoint=99)
     with pytest.raises(ShapeMismatch):
         GeneratorParams(endpoint_demand_range=(5.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_nodes", 3.0),
+        ("n_endpoints", True),
+        ("rng_seed", -1),
+        ("endpoint_demand_range", (1e6,)),
+        ("downlink_fraction", math.nan),
+        ("chord_fraction", math.nan),
+        ("chord_fraction", -1.0),
+        ("chord_fraction", 1.5),
+        ("endpoint_link_capacity", math.inf),
+        ("core_link_capacity", math.nan),
+        ("node_processing_capacity", math.inf),
+        ("node_processing_capacity", 0.0),
+        ("node_switch_cost", -1.0),
+        ("node_switch_cost", math.nan),
+        ("node_switch_cost", math.inf),
+        ("gw_to_mme", -0.5),
+        ("gw_to_mme", math.nan),
+        ("gw_to_mme", math.inf),
+    ],
+)
+def test_generator_params_reject_each_bad_field_by_name(field, value):
+    with pytest.raises(ShapeMismatch, match=field):
+        GeneratorParams(**{"n_endpoints": 1, "n_nodes": 3, field: value})
+
+
+def test_generator_params_accept_the_ends_of_each_range():
+    edges = dict(chord_fraction=0.0, node_switch_cost=0.0, gw_to_mme=0.0, downlink_fraction=1.0)
+    s = generate(GeneratorParams(n_endpoints=1, n_nodes=3, **edges))
+    assert {node.switch_cost for node in s.physical.nodes.values()} == {0.0}
+    GeneratorParams(n_endpoints=1, n_nodes=3, chord_fraction=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,28 @@ def test_restart_agrees_with_cold_solve(case):
         assert _proves_infeasible(got.row_duals, A, b, senses, lo, hi)
 
 
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=_bounded_lps())
+def test_every_infeasible_result_carries_a_verified_farkas_ray(case):
+    # Cold, feasibility-only, and restarted from an optimum of the same rows
+    # under other costs and bounds: the row duals of an infeasible result
+    # prove it over the rows as given, within the kernel's own tolerance.
+    A, b, senses, (c0, lo0, hi0), (c, lo, hi) = case
+    results = [
+        solve_dense(c, A, b, senses, lo=lo, hi=hi),
+        solve_dense(c, A, b, senses, feasibility_only=True, lo=lo, hi=hi),
+    ]
+    start = solve_dense(c0, A, b, senses, lo=lo0, hi=hi0)
+    if start.status == "optimal":
+        results.append(solve_dense(c, A, b, senses, start=start.tableau, lo=lo, hi=hi))
+    is_le = np.array([sn == "le" for sn in senses])
+    for res in results:
+        if res.status == "infeasible":
+            y = res.row_duals
+            tol = simplex.FEAS_TOL * max(1.0, float(np.abs(y).max()))
+            assert simplex._proves_infeasible(y, A, b, is_le, lo, hi, tol)
+
+
 def test_restart_from_a_corrupted_tableau_runs_the_cold_solve(monkeypatch):
     c, A, rhs, senses, lo, hi, lowered, start = _restart_case()
     corrupted = replace(start.tableau, D=start.tableau.D.copy())
