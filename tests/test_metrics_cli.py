@@ -410,8 +410,6 @@ def test_cli_operator_scale_generate_exits_5(tmp_path):
         (["--gen-demand", "5,1"], 5),
         (["--gen-demand", "nan,1"], 5),
         (["--gen-demand", "1,inf"], 5),
-        (["--gen-core-capacity", "nan"], 5),
-        (["--gen-node-capacity", "inf"], 5),
         (["--oracle-budget", "0"], 2),
         (["--oracle-budget=-5"], 2),
         (["--factors", "nan"], 2),
@@ -421,6 +419,8 @@ def test_cli_operator_scale_generate_exits_5(tmp_path):
         (["--factors", ","], 2),
         (["--seeds", ","], 2),
         (["--strategies", ","], 2),
+        (["--gen-core-capacity", "nan"], 5),
+        (["--gen-node-capacity", "inf"], 5),
     ],
 )
 def test_cli_malformed_argument_exits_without_traceback(tmp_path, extra, code):
