@@ -325,7 +325,13 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
     ``problem`` is the built LP of ``s`` (built here when None).  Each LP
     is solved through no memo, since an enumeration can pose ``budget`` of
     them, and restarts from the previous optimum: assignments differ only
-    in pinned binaries, so every restart is dual feasible.
+    in pinned binaries, so every restart is dual feasible.  An assignment
+    whose box a Farkas ray held in the problem's record proves infeasible
+    (``lp._screen``), a ray left by an earlier infeasible solve of this
+    enumeration or of any run sharing ``problem``, is rejected with no
+    solve.  ``stats["lp_solves"]`` counts the solves made and
+    ``stats["assignments"]`` every assignment evaluated, screened or
+    solved, which is what ``budget`` caps.
     """
     lg, pg = s.logical, s.physical
     nodes = s.node_ids()
@@ -346,7 +352,9 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
                 if i == e and j in pg.nodes:
                     demand_attach[e].add(j)
 
-    state = {"best": None, "best_obj": float("inf"), "assignments": 0, "pruned": 0}
+    state = {
+        "best": None, "best_obj": float("inf"), "assignments": 0, "lp_solves": 0, "pruned": 0
+    }
     last = None  # the latest optimum, which the next solve restarts from
 
     def finish(found, exact):
@@ -356,7 +364,7 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
             cfg,
             energy_of(s, cfg),
             {
-                "lp_solves": state["assignments"],  # one solve per assignment
+                "lp_solves": state["lp_solves"],
                 "assignments": state["assignments"],
                 "pruned": state["pruned"],
                 "exact": exact,
@@ -418,7 +426,11 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
             b = _binaries(
                 p, links_for(active), dict.fromkeys(active, 1), dict.fromkeys(chosen, 1)
             )
-            sol = lp.solve(_assignment_problem(p, b), start=last)
+            q = _assignment_problem(p, b)
+            sol = lp._screen(q)
+            if sol is None:
+                sol = lp.solve(q, start=last)
+                state["lp_solves"] += 1
             if sol.status != "optimal":
                 continue
             last = sol

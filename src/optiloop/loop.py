@@ -31,9 +31,12 @@ Each round then runs two procedures:
   elements in order of their relaxed values by pinning each to 0 (with
   the links and placements it gates) and re-solving.  The first feasible
   probe is adopted and the hunt restarts; the phase ends when every such
-  element still on has been probed and rejected.  Links and unpowered
-  placements draw no fixed power, so switching one off can only lengthen
-  routes; they go off only with their nodes.
+  element still on has been probed and rejected.  A probe whose box a
+  Farkas ray held in the problem's record proves infeasible is rejected
+  without a solve (``lp._screen``): the rays of earlier rejections cover a
+  later probe that pins the same elements to 0, and more.  Links and
+  unpowered placements draw no fixed power, so switching one off can only
+  lengthen routes; they go off only with their nodes.
 
 Every LP is its base problem with other pins and, for the guides,
 tie-break costs.  ``_memo_solve`` solves each such LP once per built
@@ -49,9 +52,9 @@ Probes with equal relaxed values run in column order (a stable sort).  All
 randomness comes from one seeded generator, so runs are bit-reproducible.
 Each phase emits one JSON telemetry line through the ``optiloop.loop``
 logger; its ``lp_solves`` counts the solves performed, so a phase whose LPs
-were all solved before reports 0, and a shutdown phase's ``rejected`` lists
-the powered elements it probed and left on.  A broken loop invariant raises
-``InvariantBroken``.
+were all solved before, or rejected by a ray, reports 0, and a shutdown
+phase's ``rejected`` lists the powered elements it probed and left on.  A
+broken loop invariant raises ``InvariantBroken``.
 """
 
 import json
@@ -253,26 +256,34 @@ def initial_solution(s):
     return _all_on_configuration(lp.build_problem(s), lp.solve)
 
 
-def _memo_solve(p):
+def _memo_solve(p, screen=False):
     """(solution of ``p``, whether it was solved now): an LP of a base
     problem is solved only the first time any copy of the problem meets it.
 
-    The only code that reads or writes a base problem's record
-    (``lp._Base``).  A fresh solve of an LP that pins every binary restarts
-    from the record's ``pinned_start`` and any other from its ``start``
-    (also a pinned one while there is no pinned start).  The tableau of an
-    optimum with every binary pinned stays sparse, and from it the next
-    pinned LP, which only moves some pins, is a few dual pivots away; from
-    a relaxed LP's optimum the dual simplex first has to pivot every
-    fractional binary out, on rows of that much denser tableau.  A fresh
-    optimum becomes the start of its kind, so the record holds at most two
-    frames; the memo keeps every solution without its frame.
+    The only code that reads or writes the memo and the starts of a base
+    problem's record (``lp._Base``).  With ``screen``, for a caller that
+    reads only the status, an LP that a ray of the record proves infeasible
+    (``lp._screen``) is not solved: that result goes into the memo as it
+    is, and counts as no solve.  A fresh solve of an LP that pins every
+    binary restarts from the record's ``pinned_start`` and any other from
+    its ``start`` (also a pinned one while there is no pinned start).  The
+    tableau of an optimum with every binary pinned stays sparse, and from
+    it the next pinned LP, which only moves some pins, is a few dual pivots
+    away; from a relaxed LP's optimum the dual simplex first has to pivot
+    every fractional binary out, on rows of that much denser tableau.  A
+    fresh optimum becomes the start of its kind, so the record holds at
+    most two frames; the memo keeps every solution without its frame.
     """
     base = lp._base(p)
     key = (p.pins.tobytes(), p.objective.tobytes())
     sol = base.memo.get(key)
     if sol is not None:
         return sol, False
+    if screen:
+        sol = lp._screen(p)
+        if sol is not None:
+            base.memo[key] = sol
+            return sol, False
     pinned = not (p.pins < 0).any()
     start = base.pinned_start if pinned and base.pinned_start else base.start
     sol = lp.solve(p, start=start)
@@ -284,9 +295,9 @@ def _memo_solve(p):
     return sol, True
 
 
-def _solve(state, phase, p):
+def _solve(state, phase, p, screen=False):
     """``_memo_solve``, counting a fresh solve for ``phase``."""
-    sol, fresh = _memo_solve(p)
+    sol, fresh = _memo_solve(p, screen)
     if fresh:
         state.count_solves(phase)
     return sol
@@ -435,7 +446,7 @@ def save_energy(state):
         for col in candidates.tolist():
             after = b.copy()
             _switch(after, col, 0, gates)
-            probe = _solve(state, "save_energy", _shutdown_problem(p0, after))
+            probe = _solve(state, "save_energy", _shutdown_problem(p0, after), screen=True)
             if probe.is_feasible:
                 break
         else:

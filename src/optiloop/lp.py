@@ -27,7 +27,9 @@ every row and every column of the base problem whatever the pins, so it is
 assembled once, at the first solve of any copy, and every LP of the base
 problem is solved on it.  An optimal solution keeps the block with its
 final tableau as ``frame``, and any other LP of the same base problem, with
-other pins or another objective, can restart from it.
+other pins or another objective, can restart from it.  An infeasible one
+leaves its Farkas ray in the base problem's record (``_Base``), and
+``_screen`` rejects with it, unsolved, any later LP whose box it covers.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
 records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
@@ -58,7 +60,7 @@ import numpy as np
 
 from . import model as mdl
 from .errors import InvalidMode, InvariantBroken, ShapeMismatch
-from .simplex import FEAS_TOL, solve_dense
+from .simplex import FEAS_TOL, _proves_infeasible, solve_dense
 
 __all__ = [
     "VarRef",
@@ -730,8 +732,9 @@ DENSE_CELL_LIMIT = 50_000_000
 @dataclass(frozen=True, eq=False)
 class _Block:
     """The dense rows of a base problem: ``A x (senses) rhs`` over every
-    column, row r being constraint r, and ``scale``, each row's largest
-    coefficient (1 for an empty row).
+    column, row r being constraint r, ``scale``, each row's largest
+    coefficient (1 for an empty row), and ``is_le``, whether each row's
+    sense is 'le'.
 
     The pins are not in it: ``solve`` passes them to the simplex as column
     bounds (``_bounds``), so every LP of the base problem shares one block,
@@ -744,22 +747,37 @@ class _Block:
     rhs: np.ndarray
     senses: list
     scale: np.ndarray
+    is_le: np.ndarray
     tableau: object = None
+
+
+# The most Farkas rays a base problem's record holds.
+_RAYS = 8
 
 
 @dataclass(eq=False)
 class _Base:
     """What the LPs of one base problem share: the ``block`` of its rows, and
-    the record of its solves that ``loop._memo_solve`` alone reads and
-    writes.  ``memo`` maps the bytes of an LP's pins and objective to its
-    solution without a frame; ``start`` is the latest fresh optimum and
-    ``pinned_start`` the latest one of an LP that pins every binary, both
-    with their frames."""
+    the record of its solves.
+
+    ``loop._memo_solve`` alone reads and writes ``memo``, ``start`` and
+    ``pinned_start``.  ``memo`` maps the bytes of an LP's pins and objective
+    to its solution without a frame; ``start`` is the latest fresh optimum
+    and ``pinned_start`` the latest one of an LP that pins every binary,
+    both with their frames.
+
+    ``rays`` holds the row duals of the infeasible solves that prove their
+    own LP's box infeasible (``_proves``), newest first, at most ``_RAYS``
+    of them.  ``solve`` alone writes them and ``_screen`` alone reads them.
+    A ray is a certificate over the rows, whatever the pins or objective
+    of the LP that left it, so it proves infeasible any LP of the base
+    problem whose box it covers."""
 
     block: _Block
     memo: dict = field(default_factory=dict)
     start: LpSolution = None
     pinned_start: LpSolution = None
+    rays: list = field(default_factory=list)
 
 
 def _base(p):
@@ -788,7 +806,8 @@ def _base(p):
     np.add.at(A, (np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices), rows.data)
     scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale < 1e-12] = 1.0
-    base = _Base(_Block(A, rows.rhs, rows.senses, scale))
+    is_le = np.array([sense == "le" for sense in rows.senses], dtype=bool)
+    base = _Base(_Block(A, rows.rhs, rows.senses, scale, is_le))
     # Holding the rows keeps their id from being reused.
     p.blocks[id(rows)] = (rows, base)
     return base
@@ -811,6 +830,30 @@ def _bounds(p):
     return lo, hi
 
 
+def _proves(block, y, lo, hi):
+    """Whether the row duals ``y`` prove the rows of ``block`` infeasible over
+    the box ``lo <= x <= hi``, at the tolerance the simplex checks its own
+    rays with."""
+    tol = FEAS_TOL * max(1.0, float(np.abs(y).max(initial=0.0)))
+    return _proves_infeasible(y, block.A, block.rhs, block.is_le, lo, hi, tol)
+
+
+def _screen(p):
+    """An infeasible solution of ``p`` with no solve, when a ray of its base
+    problem's record proves its box infeasible: that ray is its
+    ``row_duals``, and it reports 0 iterations.  None otherwise.
+
+    Only for a caller that reads nothing of the result but its status; a
+    certificate that proves another LP's box infeasible need not be the one
+    a solve of ``p`` returns."""
+    base = _base(p)
+    lo, hi = _bounds(p)
+    for y in base.rays:
+        if _proves(base.block, y, lo, hi):
+            return LpSolution("infeasible", np.zeros(0), math.inf, 0, 0.0, y)
+    return None
+
+
 def solve(p, feasibility_only=False, start=None):
     """Run the built-in simplex on the problem.
 
@@ -825,8 +868,12 @@ def solve(p, feasibility_only=False, start=None):
     objective, the simplex restarts from the final tableau ``start.frame``
     holds (``simplex`` module, Restarts).  In every other case, and for
     ``feasibility_only``, the solve runs cold.
+
+    An infeasible result whose row duals prove its box infeasible leaves
+    them in the base problem's record (``_Base.rays``).
     """
-    block = _assemble(p)
+    base = _base(p)
+    block = base.block
     lo, hi = _bounds(p)
     f = start.frame if start is not None and not feasibility_only else None
     res = solve_dense(
@@ -836,6 +883,9 @@ def solve(p, feasibility_only=False, start=None):
         lo=lo, hi=hi,
     )  # fmt: skip
     if res.status == "infeasible":
+        if _proves(block, res.row_duals, lo, hi):
+            base.rays.insert(0, res.row_duals)
+            del base.rays[_RAYS:]
         return LpSolution("infeasible", np.zeros(0), math.inf, res.iterations, 0.0, res.row_duals)
     if res.status == "unbounded":
         return LpSolution("unbounded", np.zeros(0), -math.inf, res.iterations, 0.0, None)
@@ -843,7 +893,7 @@ def solve(p, feasibility_only=False, start=None):
     resid = 0.0
     if block.A.shape[0]:
         gap = block.A @ res.x - block.rhs
-        viol = np.where(np.array(block.senses) == "eq", np.abs(gap), np.maximum(gap, 0.0))
+        viol = np.where(block.is_le, np.maximum(gap, 0.0), np.abs(gap))
         resid = float((viol / block.scale).max())
     if resid > FEAS_TOL:
         raise InvariantBroken(

@@ -450,10 +450,15 @@ def validate_configuration(s: Scenario, cfg: NetworkConfiguration, tol: float = 
     Returns a list of Violation records, empty iff the configuration is
     feasible within ``tol``.  Residuals are compared against
     ``tol * max(1, largest participating magnitude)`` so the tolerance is
-    meaningful across traffic scales.
+    meaningful across traffic scales.  ``tol`` must be finite and
+    nonnegative (ShapeMismatch otherwise): a NaN or infinite one would
+    accept every configuration.
+
+    The per-commodity families 1, 2 and 6 visit only the keys that can
+    break them: a row whose terms are all absent reads 0.
     """
-    if tol < 0:
-        raise ShapeMismatch("tolerance must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ShapeMismatch(f"tol must be finite and nonnegative, got {tol!r}")
     _check_shapes(s, cfg)
     lg, pg = s.logical, s.physical
     nodes = sorted(pg.nodes)
@@ -476,26 +481,24 @@ def validate_configuration(s: Scenario, cfg: NetworkConfiguration, tol: float = 
             outflow[(i, e, v1, v2)] = outflow.get((i, e, v1, v2), 0.0) + val
 
     # Families 1 and 2: per-node inflow split and outflow composition.
-    for c in nodes:
-        for e in eps:
-            for v1 in vnfs:
-                for v2 in vnfs:
-                    key = (c, e, v1, v2)
-                    arr = inflow.get(key, 0.0)
-                    t = cfg.transit.get(key, 0.0)
-                    p = cfg.processed.get(key, 0.0)
-                    flag(1, key, arr - t - p, arr, t, p)
-        for e in eps:
-            for v2 in vnfs:
-                for v3 in vnfs:
-                    dep = outflow.get((c, e, v2, v3), 0.0)
-                    t = cfg.transit.get((c, e, v2, v3), 0.0)
-                    gen = 0.0
-                    for v1 in vnfs:
-                        ratio = lg.chi_out(e, v1, v2, v3)
-                        if ratio > 0.0:
-                            gen += ratio * cfg.processed.get((c, e, v1, v2), 0.0)
-                    flag(2, (c, e, v2, v3), dep - t - gen, dep, t, gen)
+    for key in inflow.keys() | cfg.transit.keys() | cfg.processed.keys():
+        arr = inflow.get(key, 0.0)
+        t = cfg.transit.get(key, 0.0)
+        p = cfg.processed.get(key, 0.0)
+        flag(1, key, arr - t - p, arr, t, p)
+    fed = {}  # (c, e, v2, v3) -> [(v1, chi-transformed processed traffic)]
+    for (c, e, v1, v2), p in cfg.processed.items():
+        for v3 in vnfs:
+            ratio = lg.chi_out(e, v1, v2, v3)
+            if ratio > 0.0:
+                fed.setdefault((c, e, v2, v3), []).append((v1, ratio * p))
+    for key in outflow.keys() | cfg.transit.keys() | fed.keys():
+        dep = outflow.get(key, 0.0)
+        t = cfg.transit.get(key, 0.0)
+        gen = 0.0
+        for _, term in sorted(fed.get(key, ())):  # summed in order of v1
+            gen += term
+        flag(2, key, dep - t - gen, dep, t, gen)
 
     # Family 3: link gating, one check per node-side end.
     for (i, j) in links:
@@ -527,16 +530,22 @@ def validate_configuration(s: Scenario, cfg: NetworkConfiguration, tol: float = 
             flag(5, (c, v), float(r), 1.0)
 
     # Family 6: processing requires a deployed instance (bounded by k(c)).
-    for c in nodes:
-        k = pg.nodes[c].compute
-        for e in eps:
-            for v1 in vnfs:
-                for v2 in vnfs:
-                    p = cfg.processed.get((c, e, v1, v2), 0.0)
-                    lim = cfg.delta.get((c, v2), 0) * k
-                    r = p - lim
-                    if r > 0:
-                        flag(6, (c, e, v1, v2), r, p, lim)
+    # An absent key processes 0, which breaks the row only under a negative
+    # limit.
+    starved = {
+        (c, e, v1, v2)
+        for (c, v2), on in cfg.delta.items()
+        if on * pg.nodes[c].compute < 0
+        for e in eps
+        for v1 in vnfs
+    }
+    for key in cfg.processed.keys() | starved:
+        c, e, v1, v2 = key
+        p = cfg.processed.get(key, 0.0)
+        lim = cfg.delta.get((c, v2), 0) * pg.nodes[c].compute
+        r = p - lim
+        if r > 0:
+            flag(6, key, r, p, lim)
 
     # Family 7: compute capacity covers processing plus software switching.
     for c in nodes:

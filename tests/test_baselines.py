@@ -27,7 +27,13 @@ from optiloop.model import (
     Scenario,
     validate_configuration,
 )
-from optiloop.scenario import strategy_result_to_dict, vepc_two_node
+from optiloop.scenario import (
+    GeneratorParams,
+    configuration_to_dict,
+    generate,
+    strategy_result_to_dict,
+    vepc_two_node,
+)
 
 GIG = 1e9
 GOLDEN = Path(__file__).parent / "golden"
@@ -302,7 +308,10 @@ def test_exact_restarts_each_assignment_from_the_previous_optimum(monkeypatch):
         calls.clear()
         res = exact_optimum(s)
         monkeypatch.undo()
-        assert len(calls) == res.stats["assignments"] > 1
+        # An assignment that a stored Farkas ray proves infeasible is not
+        # solved, so the solves can fall short of the assignments.
+        assert len(calls) == res.stats["lp_solves"] <= res.stats["assignments"]
+        assert res.stats["assignments"] > 1
         latest = None
         for start, sol in calls:
             assert start is latest
@@ -313,6 +322,40 @@ def test_exact_restarts_each_assignment_from_the_previous_optimum(monkeypatch):
         monkeypatch.setattr(lp, "solve", lambda p, start=None, **kw: real(p, **kw))
         assert exact_optimum(s).energy.total == pytest.approx(res.energy.total, rel=1e-9)
         monkeypatch.undo()
+
+
+def test_exact_skips_assignments_the_loop_proved_infeasible(monkeypatch):
+    # The CLI sweep's order on one built LP of a 1x3 instance: the loop's
+    # rejected probes leave Farkas rays in the problem's record, and those
+    # prove some of the enumeration's assignments infeasible unsolved.
+    s = generate(GeneratorParams(
+        n_endpoints=1, n_nodes=3, endpoint_demand_range=(0.3 * GIG, 0.9 * GIG),
+        node_processing_capacity=8 * GIG, rng_seed=1,
+    ))  # fmt: skip
+    alone = exact_optimum(s)
+    p = lp.build_problem(s)
+    all_active(s, problem=p)
+    for seed in (0, 1):
+        optiloop_strategy(s, seed, 3, problem=p)
+    screened = []
+
+    def spy_screen(q, real=lp._screen):
+        sol = real(q)
+        if sol is not None:
+            screened.append(q)
+        return sol
+
+    monkeypatch.setattr(lp, "_screen", spy_screen)
+    shared = exact_optimum(s, problem=p)
+    monkeypatch.undo()
+    assert shared.stats["assignments"] == alone.stats["assignments"]
+    assert len(screened) == shared.stats["assignments"] - shared.stats["lp_solves"] > 0
+    assert configuration_to_dict(shared.configuration) == configuration_to_dict(
+        alone.configuration
+    )
+    assert shared.energy == alone.energy
+    for q in screened:
+        assert lp.solve(dataclasses.replace(q, blocks={})).status == "infeasible"
 
 
 def test_exact_golden_regression(vepc):

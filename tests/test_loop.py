@@ -472,7 +472,7 @@ def test_accepted_probe_is_next_guidance_problem(monkeypatch):
     assert checked >= 12
 
 
-def test_repeated_shutdown_phase_is_skipped():
+def test_repeated_shutdown_phase_is_skipped(monkeypatch):
     skipped = 0
     for seed in range(8):
         state = start_loop(make_toy(seed), seed=0)
@@ -488,13 +488,23 @@ def test_repeated_shutdown_phase_is_skipped():
         assert state.telemetry[-1]["deactivated"] == []
         assert state.current is cfg
         # Running the phase for real from the same start solves the guide
-        # and rejects every powered element still on again.
+        # and rejects every powered element still on again: each probe by
+        # the Farkas ray that rejected it before, with no solve.
         p0 = state.base_problem
         b = _binaries(p0, cfg.x, cfg.y, cfg.delta)
         powered_on = int(((p0.objective[: p0.n_binaries()] > 0.0) & (b == 1)).sum())
         lp._base(p0).memo.clear()
+        screens = []
+
+        def spy_screen(p, real=lp._screen):
+            screens.append(real(p))
+            return screens[-1]
+
+        monkeypatch.setattr(lp, "_screen", spy_screen)
         save_energy(state)
-        assert state.lp_solves["save_energy"] == solves + 1 + powered_on
+        monkeypatch.undo()
+        assert state.lp_solves["save_energy"] == solves + 1
+        assert len(screens) == powered_on and None not in screens
         assert (state.current.x, state.current.y, state.current.delta) == (
             cfg.x, cfg.y, cfg.delta)
         skipped += 1
@@ -582,11 +592,25 @@ def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):
 def test_restarted_probes_agree_with_cold_solves(monkeypatch):
     # Every fresh solve after its base problem's first optimum restarts from
     # a frame of that problem's block, never falls back to the cold solve,
-    # and agrees with the cold solve.
+    # and agrees with the cold solve.  Every probe that a stored Farkas ray
+    # rejects without a solve is infeasible solved cold.  The cold solves
+    # run on a copy with a record of its own, so they leave no ray behind.
     restarts = {"optimal": 0, "infeasible": 0}
+    screened = []
     colds = []
     solved = {}  # id -> block, of the blocks with an optimum so far
-    real_solve, real_cold = lp.solve, simplex._cold
+    real_solve, real_cold, real_screen = lp.solve, simplex._cold, lp._screen
+
+    def cold_solve(p, *args, **kwargs):
+        return real_solve(dataclasses.replace(p, blocks={}), *args, **kwargs)
+
+    def spy_screen(p):
+        sol = real_screen(p)
+        if sol is not None:
+            assert sol.status == "infeasible" and sol.iterations == 0
+            assert cold_solve(p).status == "infeasible"
+            screened.append(p)
+        return sol
 
     def spy_cold(*args):
         colds.append(args)
@@ -603,7 +627,7 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
         colds.clear()
         sol = real_solve(p, *args, start=start, **kwargs)
         assert colds == [], "the restart fell back to the cold solve"
-        cold = real_solve(p, *args, **kwargs)
+        cold = cold_solve(p, *args, **kwargs)
         assert sol.status == cold.status
         if cold.is_feasible:
             assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
@@ -616,9 +640,10 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", spy_solve)
     monkeypatch.setattr(simplex, "_cold", spy_cold)
+    monkeypatch.setattr(lp, "_screen", spy_screen)
     for toy in range(12):
         s = make_toy(toy)
-        for seed in (0, 1):
+        for seed in (0, 1, 2):
             for factor in (None, 3.0):
                 problems = []
 
@@ -637,6 +662,7 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
                     held = [*record.memo.values(), record.start, record.pinned_start]
                     assert sum(sol is not None and sol.frame is not None for sol in held) <= 2
     assert restarts["optimal"] >= 200 and restarts["infeasible"] >= 150, restarts
+    assert len(screened) >= 50, len(screened)
 
 
 # ---------------------------------------------------------------------------

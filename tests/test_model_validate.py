@@ -1,12 +1,15 @@
 """Configuration validation against the constraint families."""
 
+import contextlib
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from corpus import make_toy
-from optiloop.errors import ShapeMismatch
+from optiloop import loop
+from optiloop.errors import InstanceInfeasible, ShapeMismatch
 from optiloop.loop import initial_solution
 from optiloop.model import (
     Link,
@@ -16,6 +19,7 @@ from optiloop.model import (
     spare_compute,
     validate_configuration,
 )
+from optiloop.scenario import scale_demand
 from reference_checker import check_all
 
 GIG = 1e9
@@ -109,6 +113,99 @@ def test_shape_mismatch_on_unknown_ids(vepc, vepc_config):
         bad = dict(vepc_config.tau)
         bad[("n1", "RRH", "RRH", "eNB", "eNB")] = 1.0
         validate_configuration(vepc, dataclasses.replace(vepc_config, tau=bad))
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    s = make_toy(0)
+    empty = NetworkConfiguration({}, {}, {})
+    assert len(validate_configuration(s, empty)) == 1
+    with pytest.raises(ShapeMismatch, match="tol"):
+        validate_configuration(s, empty, tol=tol)
+
+
+def _loop_configurations(monkeypatch, seed):
+    """(scenario, configuration) at each phase boundary of a 2-round loop
+    on toy ``seed``, with demand x1.6 from round 1."""
+    s = make_toy(seed)
+    seen = []
+    real = loop.validate_configuration
+
+    def spy(sc, cfg, *args, **kwargs):
+        seen.append((sc, cfg))
+        return real(sc, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(loop, "validate_configuration", spy)
+    with contextlib.suppress(InstanceInfeasible):
+        loop.run_loop(s, 0, 2, scenario_hook=lambda r, st: scale_demand(s, 1.6) if r else None)
+    monkeypatch.undo()
+    return seen
+
+
+def _perturbed(rng, s, cfg):
+    """``cfg`` with flows scaled or dropped, two processed keys added, maybe
+    a node off, and maybe a placement at -1, which only a configuration
+    changed after its construction holds."""
+
+    def shaken(flows):
+        out = {}
+        for key, val in flows.items():
+            u = rng.random()
+            if u < 0.1:
+                continue
+            out[key] = val * rng.uniform(0.5, 1.5) if u < 0.4 else val
+        return out
+
+    nodes, eps, vnfs = s.node_ids(), sorted(s.logical.endpoints), s.vnf_ids()
+    top = max(s.logical.ingress_demand.values())
+    processed = shaken(cfg.processed)
+    for _ in range(2):
+        key = (nodes[rng.integers(len(nodes))], eps[rng.integers(len(eps))],
+               vnfs[rng.integers(len(vnfs))], vnfs[rng.integers(len(vnfs))])  # fmt: skip
+        processed[key] = float(rng.uniform(0.0, 2.0) * top)
+    y = dict(cfg.y)
+    if rng.random() < 0.5:
+        y[nodes[rng.integers(len(nodes))]] = 0
+    bad = NetworkConfiguration(cfg.x, y, cfg.delta, shaken(cfg.tau), shaken(cfg.transit), processed)
+    if rng.random() < 0.3:
+        # Processing nothing under a negative limit breaks family 6 on every
+        # absent key.
+        bad.delta[(nodes[rng.integers(len(nodes))], vnfs[rng.integers(len(vnfs))])] = -1
+    return bad
+
+
+# SHA-256 of the violation lists (reprs, so residuals to the bit) of each
+# toy's loop configurations and three perturbations of each, as the checker
+# that visits every (node, endpoint, function, function) key read them.
+_VIOLATIONS = [
+    "768b5fb4818080f6a4fe42cc2d5964c75d52099d6f5470300dd2686d9ace9f00",
+    "d0312d0c504062cb538d0fe1bf511474c4c5a78ee55aac3e8a14040d1b3957ef",
+    "0d1450bfebc9d25ae92a7862f42b54aaa93124ea7714728c920844bf26d26b8f",
+    "3458336d2553755288e52b8b40cea40b2304814650a45effe9164e1f3ff1b648",
+    "ad0f56c6ca2fdea4d5082daa6f1afddcba619d5dcdc826a963e62d7514295dde",
+    "c31c2605837426321fe6ade4b224372946239e6795098563eec5750998b0a652",
+    "eeaecb3d25f89bcfe6cf405bedc0fe16c63ff4d679cc12aa56ffc0eed34eff93",
+    "63d051a4187af17c3f3b098c6ced58bdda62cfc9f6aeabb4ba8a7475cf75b261",
+    "a9bb030a2e4082df73829a304c40e798a4ae6a698ab308ec4aca79eb643e4048",
+    "fdd6b0120d1373a174722e3d5ab26d5d293c252412c4a54c135806b1b652d856",
+    "b0768ef0f9d7b0f1258777a1189f4141d4e9603678532e452eb7f150fdde2516",
+    "450bdc04a4c7296fe91260acbc5df746f519b346ba650274602707335224f5ac",
+]
+
+
+def test_violations_are_pinned_on_loop_configurations(monkeypatch):
+    families = set()
+    for seed, want in enumerate(_VIOLATIONS):
+        rng = np.random.default_rng(seed)
+        text = []
+        for s, cfg in _loop_configurations(monkeypatch, seed):
+            for c in (cfg, *(_perturbed(rng, s, cfg) for _ in range(3))):
+                viols = validate_configuration(s, c, tol=1e-6)
+                families |= {v.family for v in viols}
+                text.append(repr(viols))
+        assert len(text) == 20
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == want, seed
+    assert families == {1, 2, 3, 5, 6, 7, 9}
 
 
 def _corrupt(rng, cfg):

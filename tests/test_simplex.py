@@ -430,6 +430,33 @@ def test_every_infeasible_result_carries_a_verified_farkas_ray(case):
             assert simplex._proves_infeasible(y, A, b, is_le, lo, hi, tol)
 
 
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=_bounded_lps(), data=st.data())
+def test_a_stored_ray_screens_only_infeasible_boxes(case, data):
+    # The screen that spares a solve: an infeasible result's ray, checked
+    # against another box of the same rows.  Whenever it claims a proof,
+    # the cold solve of that box is infeasible; so it never claims one for
+    # a feasible LP.  The boxes are the result's own shrunk at random, as
+    # a later shutdown probe pins more binaries, and the other draw's box,
+    # which need not lie inside it.
+    A, b, senses, (c, lo, hi), (_, lo0, hi0) = case
+    res = solve_dense(c, A, b, senses, lo=lo, hi=hi)
+    assume(res.status == "infeasible")
+    y = res.row_duals
+    tol = simplex.FEAS_TOL * max(1.0, float(np.abs(y).max()))
+    is_le = np.array([sn == "le" for sn in senses])
+    n = lo.size
+    raise_lo = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+    width = data.draw(st.lists(st.sampled_from([0, 1, 2, np.inf]), min_size=n, max_size=n))
+    lo1 = np.minimum(lo + raise_lo, np.where(hi < np.inf, hi, lo + raise_lo))
+    hi1 = np.minimum(hi, lo1 + np.array(width, dtype=float))
+    assert (lo <= lo1).all() and (lo1 <= hi1).all() and (hi1 <= hi).all()
+    for box_lo, box_hi in ((lo, hi), (lo1, hi1), (lo0, hi0)):
+        if simplex._proves_infeasible(y, A, b, is_le, box_lo, box_hi, tol):
+            cold = solve_dense(c, A, b, senses, lo=box_lo, hi=box_hi)
+            assert cold.status == "infeasible"
+
+
 def test_restart_from_a_corrupted_tableau_runs_the_cold_solve(monkeypatch):
     c, A, rhs, senses, lo, hi, lowered, start = _restart_case()
     corrupted = replace(start.tableau, D=start.tableau.D.copy())
