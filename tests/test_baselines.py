@@ -5,10 +5,11 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import single_vnf_scenario
-from corpus import make_toy
+from corpus import make_capacity_starved, make_compute_starved, make_toy
 from optiloop import baselines, lp
 from optiloop.baselines import (
     all_active,
@@ -402,3 +403,61 @@ def test_all_active_pays_most_when_a_node_is_dispensable():
     aa = all_active(s).energy.total
     for res in (consolidation(s), exact_optimum(s), optiloop_strategy(s, seed=0, rounds=2)):
         assert res.energy.total < aa, res.name
+
+
+# ---------------------------------------------------------------------------
+# relaxed_bound
+
+
+def _relaxed_root_instances():
+    yield from (make_toy(seed) for seed in range(30))
+    for seed in (1, 2, 3):
+        yield generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=seed))
+    yield generate(GeneratorParams(n_endpoints=4, n_nodes=8, rng_seed=1))
+
+
+def _all_on_pinned(p):
+    return baselines._assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
+
+
+def test_relaxed_bound_restarts_from_the_all_on_optimum(monkeypatch):
+    """The bound is the cold relaxed root's objective, and the one cold
+    solve behind it is the all-on pinned LP: every binary column fixed."""
+    calls = []  # (start, lo, hi) of each solve_dense call
+
+    def spy(*args, real=lp.solve_dense, **kwargs):
+        calls.append((kwargs.get("start"), kwargs["lo"], kwargs["hi"]))
+        return real(*args, **kwargs)
+
+    for s in _relaxed_root_instances():
+        p = lp.build_problem(s)
+        cold = lp.solve(p)
+        assert cold.status == "optimal"
+        monkeypatch.setattr(lp, "solve_dense", spy)
+        bound = relaxed_bound(s)
+        monkeypatch.undo()
+        assert bound == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9)
+        nb = p.n_binaries()
+        cold_calls = [(lo, hi) for start, lo, hi in calls if start is None]
+        assert len(cold_calls) == 1
+        lo, hi = cold_calls[0]
+        assert (lo[:nb] == hi[:nb]).all()
+        calls.clear()
+
+
+def test_relaxed_root_is_feasible_exactly_when_the_all_on_lp_is():
+    """Raising every binary to 1 keeps a relaxed-feasible point feasible, so
+    the cold relaxed root and the all-on pinned LP agree on feasibility;
+    relaxed_bound raises on the infeasible ones with its usual message."""
+    makers = (make_capacity_starved, make_compute_starved)
+    starved = [make(seed) for seed in range(50) for make in makers]
+    infeasible = 0
+    for s in starved + [make_toy(seed) for seed in range(30)]:
+        p = lp.build_problem(s)
+        cold = lp.solve(p).status
+        assert cold == lp.solve(_all_on_pinned(p)).status
+        if cold == "infeasible":
+            infeasible += 1
+            with pytest.raises(InstanceInfeasible, match="^relaxed problem infeasible$"):
+                relaxed_bound(s)
+    assert infeasible == len(starved)

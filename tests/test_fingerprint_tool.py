@@ -39,3 +39,13 @@ def test_compare_exits_1_only_when_a_completing_case_raises(monkeypatch, capsys)
         assert shown[8:16] == ["change:", *(f"  {line}" for line in runs[name]["lines"])]
         differ = "none" if name == "same" else "6 (simplex iterations)"
         assert shown[16] == f"fingerprint lines that differ: {differ}", name
+
+
+def test_each_2x4_relaxed_bound_is_a_case_with_no_loop_solves():
+    from optiloop.baselines import relaxed_bound
+
+    tool = _tool()
+    cases = tool._bound_cases()
+    assert list(cases) == [f"2x4 gen {seed} relaxed_bound" for seed in tool.LADDER_SEEDS]
+    for seed, case in zip(tool.LADDER_SEEDS, cases.values()):
+        assert case == ["ok", relaxed_bound(tool._ladder(seed)), 0]

@@ -15,14 +15,14 @@ solves no earlier cell of its factor made (0 on the second seed's rows).
 
 Given two checkouts, it runs each in its own subprocess
 (``fingerprint.py --json <checkout>``, which prints the seven lines and each
-toy run's and 2x4 strategy's outcome, final energy and loop LP solves as
-JSON).  It prints both sides' seven lines and which of them differ, then
-compares the decisions by energy: both sides' loop LP solves over those
-cases; how many of the cases both complete end lower, higher (by more than
-a relative 1e-9) or equal in energy on the change, with the median, min and
-max change/parent ratio; each higher case; and each case whose outcome
-(completed, or the error type raised) differs.  It exits 1 when a case that
-completes on the parent raises on the change.
+toy run's and 2x4 strategy's outcome, final energy and loop LP solves, and
+each 2x4 relaxed bound, as JSON).  It prints both sides' seven lines and
+which of them differ, then compares the decisions by energy: both sides'
+loop LP solves over those cases; how many of the cases both complete end
+lower, higher (by more than a relative 1e-9) or equal in energy on the
+change, with the median, min and max change/parent ratio; each higher case;
+and each case whose outcome (completed, or the error type raised) differs.
+It exits 1 when a case that completes on the parent raises on the change.
 
 The cases:
 
@@ -37,6 +37,12 @@ The cases:
 A decision enters as the ``repr`` of every binary and every flow of the
 final configuration, the loop's telemetry and the strategy stats without
 ``lp_solves``, and the CSV rows without the ``lp_solves`` column.
+
+The JSON cases also hold ``relaxed_bound`` of each generated 2x4 instance,
+named ``2x4 gen <seed> relaxed_bound``, with 0 loop LP solves, so the
+comparison by energy covers the lower bound too.  The bound stays out of the
+decisions hash, because its last bits follow the simplex's pivot path; its
+iterations count in the sixth line.
 
 The IIS cases are the all-on pinned problems of ``make_capacity_starved``
 and ``make_compute_starved`` for seeds 0-49; each enters as its
@@ -131,16 +137,32 @@ def _toy_runs():
                 yield toy, seed, factor, seen[0], error
 
 
+def _ladder(gen_seed):
+    """The generated 2x4 instance of generator seed ``gen_seed``."""
+    from optiloop.scenario import GeneratorParams, generate
+
+    return generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=gen_seed))
+
+
 def _ladder_runs():
     """(generator seed, result) of each strategy on the generated 2x4 instances."""
     from optiloop.baselines import all_active, consolidation, optiloop_strategy
-    from optiloop.scenario import GeneratorParams, generate
 
     for gen_seed in LADDER_SEEDS:
-        s = generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=gen_seed))
+        s = _ladder(gen_seed)
         for result in (optiloop_strategy(s, seed=0, rounds=ROUNDS), all_active(s),
                        consolidation(s)):  # fmt: skip
             yield gen_seed, result
+
+
+def _bound_cases():
+    """{case: ["ok", relaxed bound, 0]} of the generated 2x4 instances."""
+    from optiloop.baselines import relaxed_bound
+
+    return {
+        f"2x4 gen {gen_seed} relaxed_bound": ["ok", relaxed_bound(_ladder(gen_seed)), 0]
+        for gen_seed in LADDER_SEEDS
+    }
 
 
 def fingerprint():
@@ -251,6 +273,7 @@ def run():
     """The seven fingerprint lines and the cases of the imported checkout."""
     iterations = _count_iterations()
     digest, solves, by_phase, found = fingerprint()
+    found.update(_bound_cases())
     iis_digest, iis_solves = iis_fingerprint()
     lines = [
         digest,
