@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from . import lp
 from .errors import BudgetExceeded, InstanceInfeasible
 from .loop import (
-    _all_on,
     _all_on_configuration,
+    _all_on_problem,
     _assignment_problem,
     _binaries,
     _configuration,
-    _memo_solve,
     run_loop,
 )
 from .model import EnergyBreakdown, derive_logical_flows, energy_of
@@ -53,15 +52,15 @@ def all_active(s, *, problem=None) -> StrategyResult:
     """Today's practice: every element on, flows routed by one LP solve.
 
     ``problem`` is the built LP of ``s`` (built here when None).  The LP
-    goes through the loop's record of the problem's solves
-    (``_memo_solve``), so it is solved once per built problem, and a loop
-    run on the same problem opens on that solve.
+    goes through the record of the problem's solves (``lp._memo_solve``),
+    so it is solved once per built problem, and a loop run on the same
+    problem opens on that solve.
     """
     p = lp.build_problem(s) if problem is None else problem
     fresh = []
 
     def solve(q):
-        sol, solved = _memo_solve(q)
+        sol, solved = lp._memo_solve(q)
         fresh.append(solved)
         return sol
 
@@ -87,7 +86,7 @@ def relaxed_bound(s) -> float:
     infeasible all-on LP raises InstanceInfeasible with no further solve.
     """
     p = lp.build_problem(s)
-    on = lp.solve(_assignment_problem(p, _binaries(p, *_all_on(s))))
+    on = lp.solve(_all_on_problem(p))
     sol = lp.solve(p, start=on) if on.status == "optimal" else on
     if sol.status != "optimal":
         raise InstanceInfeasible("relaxed problem infeasible")

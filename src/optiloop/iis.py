@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInfeasible
-from .lp import _assemble, _bounds, solve
+from .lp import _base, _bounds, solve
 from .simplex import solve_dense
 
 __all__ = ["IisReport", "compute_iis"]
@@ -60,15 +60,15 @@ def _feasible(p, rows):
     """Whether the constraints ``rows`` of ``p`` and its column bounds admit
     a point.
 
-    The rows are those of ``p``'s block, which ``lp`` assembles once per
-    base problem; each row of it is built from its own terms, so the rows
-    posed here equal those the subset alone assembles to.
+    The rows are taken from the dense rows of ``p``'s record (``lp._base``),
+    which ``lp`` assembles once per base problem; each is built from its own
+    terms, so the rows posed here equal those the subset alone assembles to.
     """
-    b = _assemble(p)
+    base = _base(p)
     rows = np.asarray(rows, dtype=np.intp)
     lo, hi = _bounds(p)
     res = solve_dense(
-        p.objective, b.A[rows], b.rhs[rows], [b.senses[r] for r in rows.tolist()],
+        p.objective, base.A[rows], base.rhs[rows], [base.senses[r] for r in rows.tolist()],
         feasibility_only=True, lo=lo, hi=hi,
     )  # fmt: skip
     return res.status != "infeasible"

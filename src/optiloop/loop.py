@@ -39,14 +39,14 @@ Each round then runs two procedures:
   lengthen routes; they go off only with their nodes.
 
 Every LP is its base problem with other pins and, for the guides,
-tie-break costs.  ``_memo_solve`` solves each such LP once per built
-problem, however many runs share the problem, and keeps that record with
-the problem (``lp._Base``).  An adopted probe's LP, met again as the next
-guide, a repeated shutdown phase and a repair round's opening check
-therefore cost no solve.  A fresh solve restarts from the problem's latest
-optimum (``lp.solve``'s ``start``): a shutdown guide widens the pinned LP
-before it, which a primal simplex continues, and a probe pins some of its
-guide's binaries to 0, which a dual simplex repairs.
+tie-break costs.  Every one goes through ``lp._memo_solve``, which solves
+each such LP once per built problem, however many runs share the problem,
+in the record the problem's rows hold (``lp._Base``).  An adopted probe's
+LP, met again as the next guide, a repeated shutdown phase and a repair
+round's opening check therefore cost no solve.  A fresh solve restarts from
+the problem's latest optimum (``lp.solve``'s ``start``): a shutdown guide
+widens the pinned LP before it, which a primal simplex continues, and a
+probe pins some of its guide's binaries to 0, which a dual simplex repairs.
 
 Probes with equal relaxed values run in column order (a stable sort).  All
 randomness comes from one seeded generator, so runs are bit-reproducible.
@@ -235,16 +235,21 @@ def _all_on(s):
     return x, y, delta
 
 
+def _all_on_problem(p):
+    """``p`` with every binary pinned at 1."""
+    return _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
+
+
 def _all_on_configuration(p, solve):
     """The all-on assignment of ``p`` routed by ``solve``; InstanceInfeasible
     when it admits no flow routing."""
-    b = np.ones(p.n_binaries(), dtype=np.int8)
-    sol = solve(_assignment_problem(p, b))
+    q = _all_on_problem(p)
+    sol = solve(q)
     if sol.status != "optimal":
         raise InstanceInfeasible(
             "no feasible routing exists with every element active", context="all_active"
         )
-    return _configuration(p, b, sol)
+    return _configuration(p, q.pins, sol)
 
 
 def initial_solution(s):
@@ -256,48 +261,9 @@ def initial_solution(s):
     return _all_on_configuration(lp.build_problem(s), lp.solve)
 
 
-def _memo_solve(p, screen=False):
-    """(solution of ``p``, whether it was solved now): an LP of a base
-    problem is solved only the first time any copy of the problem meets it.
-
-    The only code that reads or writes the memo and the starts of a base
-    problem's record (``lp._Base``).  With ``screen``, for a caller that
-    reads only the status, an LP that a ray of the record proves infeasible
-    (``lp._screen``) is not solved: that result goes into the memo as it
-    is, and counts as no solve.  A fresh solve of an LP that pins every
-    binary restarts from the record's ``pinned_start`` and any other from
-    its ``start`` (also a pinned one while there is no pinned start).  The
-    tableau of an optimum with every binary pinned stays sparse, and from
-    it the next pinned LP, which only moves some pins, is a few dual pivots
-    away; from a relaxed LP's optimum the dual simplex first has to pivot
-    every fractional binary out, on rows of that much denser tableau.  A
-    fresh optimum becomes the start of its kind, so the record holds at
-    most two frames; the memo keeps every solution without its frame.
-    """
-    base = lp._base(p)
-    key = (p.pins.tobytes(), p.objective.tobytes())
-    sol = base.memo.get(key)
-    if sol is not None:
-        return sol, False
-    if screen:
-        sol = lp._screen(p)
-        if sol is not None:
-            base.memo[key] = sol
-            return sol, False
-    pinned = not (p.pins < 0).any()
-    start = base.pinned_start if pinned and base.pinned_start else base.start
-    sol = lp.solve(p, start=start)
-    base.memo[key] = replace(sol, frame=None)
-    if sol.frame is not None:
-        base.start = sol
-        if pinned:
-            base.pinned_start = sol
-    return sol, True
-
-
 def _solve(state, phase, p, screen=False):
-    """``_memo_solve``, counting a fresh solve for ``phase``."""
-    sol, fresh = _memo_solve(p, screen)
+    """``lp._memo_solve``, counting a fresh solve for ``phase``."""
+    sol, fresh = lp._memo_solve(p, screen)
     if fresh:
         state.count_solves(phase)
     return sol
@@ -470,9 +436,12 @@ def save_energy(state):
     if deactivated:
         # The probe's flows optimize a partially relaxed problem; the enacted
         # operating point routes optimally for the binaries actually kept.
+        # The binaries only gate (families 3 to 6), so the adopted probe's
+        # point with its relaxed active binaries raised to 1 is feasible here.
         final = _solve(state, "save_energy", _assignment_problem(p0, b))
-        if final.is_feasible:
-            state.current = _configuration(p0, b, final)
+        if not final.is_feasible:
+            raise InvariantBroken(f"the pinned LP of the adopted shutdowns is {final.status}")
+        state.current = _configuration(p0, b, final)
 
     _emit(
         state,

@@ -22,14 +22,18 @@ objects by hand is converted to the flat form once, when it is made.  An
 ``values`` is the same kind of view, keyed by ``VarRef``.
 
 A solve poses the pins as column bounds: a pinned binary has both bounds at
-its pin, a relaxed one [0, 1].  The dense block (``_Block``) therefore holds
-every row and every column of the base problem whatever the pins, so it is
-assembled once, at the first solve of any copy, and every LP of the base
-problem is solved on it.  An optimal solution keeps the block with its
+its pin, a relaxed one [0, 1].  The dense rows of a base problem therefore
+hold every row and every column whatever the pins.  They sit in the base
+problem's record (``_Base``), which its rows hold (``_Rows.record``) and so
+every copy shares; it is made at the first solve of any copy, and every LP
+of the base problem is solved on its rows.  An optimal solution keeps its
 final tableau as ``frame``, and any other LP of the same base problem, with
 other pins or another objective, can restart from it.  An infeasible one
-leaves its Farkas ray in the base problem's record (``_Base``), and
-``_screen`` rejects with it, unsolved, any later LP whose box it covers.
+leaves its Farkas ray in the record, and ``_screen`` rejects with it,
+unsolved, any later LP whose box it covers.  ``_memo_solve`` solves each LP
+of a base problem once and restarts each fresh solve from the record's
+latest optima.  Only this module reads or writes the record's memo, starts
+and rays.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
 records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
@@ -52,6 +56,7 @@ objective is in watts throughout.
 import math
 import operator
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -244,13 +249,15 @@ class _Rows(_Runs):
     data[k])`` for ``k`` in ``indptr[r]:indptr[r + 1]``, in order, and
     ``senses[r]`` ('le' or 'eq') against ``rhs[r]``.  The runs label the
     row ids by family: row ``r`` of a run is ``(family, indices[r - start])``.
-    As a sequence, the ``LinearConstraint`` of each row."""
+    As a sequence, the ``LinearConstraint`` of each row.  ``record`` is the
+    base problem's ``_Base``, None until ``_base`` makes it."""
 
     def __init__(self, indptr, indices, data, rhs, senses, runs):
         super().__init__(runs, len(senses))
         self.indptr, self.indices, self.data = indptr, indices, data
         self.rhs, self.senses = rhs, senses
         self._cids = self._families = None
+        self.record = None
 
     @classmethod
     def of(cls, constraints):
@@ -302,10 +309,6 @@ class LpProblem:
     objective: np.ndarray
     traffic_scale: float
     layout: dict = field(default_factory=dict)  # binary kind -> column slice
-    # id of a rows object -> (the rows, their ``_Base``).  The copies
-    # ``fix``, ``relax`` and ``dataclasses.replace`` make share this dict, so
-    # the LPs of one base problem share one block and one record of solves.
-    blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         put = object.__setattr__
@@ -367,10 +370,10 @@ class LpSolution:
     # row's largest coefficient.
     max_residual: float = 0.0
     row_duals: np.ndarray = None
-    # Optimal solutions only: the base problem's block with the solve's
-    # final tableau, which ``solve(q, start=...)`` restarts from for any
-    # LP ``q`` of the same base problem.
-    frame: "_Block" = None
+    # Optimal solutions only: the solve's final tableau with the dense rows
+    # it fits (``_Frame``), which ``solve(q, start=...)`` restarts from for
+    # any LP ``q`` of the same base problem.
+    frame: "_Frame" = None
     # Optimal solutions: the problem's columns, which ``values`` keys ``x`` by.
     columns: _Columns = field(default=None, repr=False)
 
@@ -729,27 +732,10 @@ def relax(p, ref):
 DENSE_CELL_LIMIT = 50_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class _Block:
-    """The dense rows of a base problem: ``A x (senses) rhs`` over every
-    column, row r being constraint r, ``scale``, each row's largest
-    coefficient (1 for an empty row), and ``is_le``, whether each row's
-    sense is 'le'.
-
-    The pins are not in it: ``solve`` passes them to the simplex as column
-    bounds (``_bounds``), so every LP of the base problem shares one block,
-    assembled at its first solve (``_assemble``).  ``tableau`` is None in
-    the shared block; an optimal solution's ``frame`` is the block with its
-    final tableau, which fits every LP of the same block.
-    """
-
-    A: np.ndarray
-    rhs: np.ndarray
-    senses: list
-    scale: np.ndarray
-    is_le: np.ndarray
-    tableau: object = None
-
+# An optimum's final tableau and the dense rows ``A`` it was solved on.  It
+# holds ``A``, not the record: the record holds its starts, so a frame that
+# held the record would make a cycle only the garbage collector frees.
+_Frame = namedtuple("_Frame", "A tableau")
 
 # The most Farkas rays a base problem's record holds.
 _RAYS = 8
@@ -757,10 +743,16 @@ _RAYS = 8
 
 @dataclass(eq=False)
 class _Base:
-    """What the LPs of one base problem share: the ``block`` of its rows, and
-    the record of its solves.
+    """The record of one base problem, which every LP of it shares: its
+    dense rows, and what its solves leave behind.
 
-    ``loop._memo_solve`` alone reads and writes ``memo``, ``start`` and
+    The dense rows are ``A x (senses) rhs`` over every column, row r being
+    constraint r, with ``scale``, each row's largest coefficient (1 for an
+    empty row), and ``is_le``, whether each row's sense is 'le'.  The pins
+    are not in them: ``solve`` passes them to the simplex as column bounds
+    (``_bounds``), so an optimum's ``frame`` fits every LP of the record.
+
+    ``_memo_solve`` alone reads and writes ``memo``, ``start`` and
     ``pinned_start``.  ``memo`` maps the bytes of an LP's pins and objective
     to its solution without a frame; ``start`` is the latest fresh optimum
     and ``pinned_start`` the latest one of an LP that pins every binary,
@@ -773,7 +765,11 @@ class _Base:
     of the LP that left it, so it proves infeasible any LP of the base
     problem whose box it covers."""
 
-    block: _Block
+    A: np.ndarray
+    rhs: np.ndarray
+    senses: list
+    scale: np.ndarray
+    is_le: np.ndarray
     memo: dict = field(default_factory=dict)
     start: LpSolution = None
     pinned_start: LpSolution = None
@@ -781,16 +777,17 @@ class _Base:
 
 
 def _base(p):
-    """The ``_Base`` of ``p``'s rows, made at its first use and shared by
-    every copy of ``p`` that holds the same rows.
+    """The ``_Base`` of ``p``'s rows, made at its first use and kept on them
+    (``_Rows.record``), so every copy of ``p`` that holds the same rows
+    shares it.
 
     Raises ShapeMismatch before allocating anything when the tableau that
-    ``solve_dense`` builds from the block could exceed ``DENSE_CELL_LIMIT``.
+    ``solve_dense`` builds from the dense rows could exceed
+    ``DENSE_CELL_LIMIT``.
     """
     rows = p.constraints
-    held = p.blocks.get(id(rows))
-    if held is not None:
-        return held[1]
+    if rows.record is not None:
+        return rows.record
     m, n = len(rows), p.n_vars()
     # Tableau: the rows plus two objective rows, by the columns, at most a
     # slack and an artificial per row, and the rhs.
@@ -807,15 +804,8 @@ def _base(p):
     scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale < 1e-12] = 1.0
     is_le = np.array([sense == "le" for sense in rows.senses], dtype=bool)
-    base = _Base(_Block(A, rows.rhs, rows.senses, scale, is_le))
-    # Holding the rows keeps their id from being reused.
-    p.blocks[id(rows)] = (rows, base)
-    return base
-
-
-def _assemble(p):
-    """The ``_Block`` of ``p``'s rows, assembled once per base problem."""
-    return _base(p).block
+    rows.record = _Base(A, rows.rhs, rows.senses, scale, is_le)
+    return rows.record
 
 
 def _bounds(p):
@@ -830,12 +820,12 @@ def _bounds(p):
     return lo, hi
 
 
-def _proves(block, y, lo, hi):
-    """Whether the row duals ``y`` prove the rows of ``block`` infeasible over
+def _proves(base, y, lo, hi):
+    """Whether the row duals ``y`` prove the rows of ``base`` infeasible over
     the box ``lo <= x <= hi``, at the tolerance the simplex checks its own
     rays with."""
     tol = FEAS_TOL * max(1.0, float(np.abs(y).max(initial=0.0)))
-    return _proves_infeasible(y, block.A, block.rhs, block.is_le, lo, hi, tol)
+    return _proves_infeasible(y, base.A, base.rhs, base.is_le, lo, hi, tol)
 
 
 def _screen(p):
@@ -849,9 +839,48 @@ def _screen(p):
     base = _base(p)
     lo, hi = _bounds(p)
     for y in base.rays:
-        if _proves(base.block, y, lo, hi):
+        if _proves(base, y, lo, hi):
             return LpSolution("infeasible", np.zeros(0), math.inf, 0, 0.0, y)
     return None
+
+
+def _memo_solve(p, screen=False):
+    """(solution of ``p``, whether it was solved now): an LP of a base
+    problem is solved only the first time any copy of the problem meets it.
+
+    The only code that reads or writes the memo and the starts of a base
+    problem's record (``_Base``).  With ``screen``, for a caller that
+    reads only the status, an LP that a ray of the record proves infeasible
+    (``_screen``) is not solved: that result goes into the memo as it
+    is, and counts as no solve.  A fresh solve of an LP that pins every
+    binary restarts from the record's ``pinned_start`` and any other from
+    its ``start`` (also a pinned one while there is no pinned start).  The
+    tableau of an optimum with every binary pinned stays sparse, and from
+    it the next pinned LP, which only moves some pins, is a few dual pivots
+    away; from a relaxed LP's optimum the dual simplex first has to pivot
+    every fractional binary out, on rows of that much denser tableau.  A
+    fresh optimum becomes the start of its kind, so the record holds at
+    most two frames; the memo keeps every solution without its frame.
+    """
+    base = _base(p)
+    key = (p.pins.tobytes(), p.objective.tobytes())
+    sol = base.memo.get(key)
+    if sol is not None:
+        return sol, False
+    if screen:
+        sol = _screen(p)
+        if sol is not None:
+            base.memo[key] = sol
+            return sol, False
+    pinned = not (p.pins < 0).any()
+    start = base.pinned_start if pinned and base.pinned_start else base.start
+    sol = solve(p, start=start)
+    base.memo[key] = replace(sol, frame=None)
+    if sol.frame is not None:
+        base.start = sol
+        if pinned:
+            base.pinned_start = sol
+    return sol, True
 
 
 def solve(p, feasibility_only=False, start=None):
@@ -873,17 +902,16 @@ def solve(p, feasibility_only=False, start=None):
     them in the base problem's record (``_Base.rays``).
     """
     base = _base(p)
-    block = base.block
     lo, hi = _bounds(p)
     f = start.frame if start is not None and not feasibility_only else None
     res = solve_dense(
-        p.objective, block.A, block.rhs, block.senses,
+        p.objective, base.A, base.rhs, base.senses,
         feasibility_only=feasibility_only,
-        start=f.tableau if f is not None and f.A is block.A else None,
+        start=f.tableau if f is not None and f.A is base.A else None,
         lo=lo, hi=hi,
     )  # fmt: skip
     if res.status == "infeasible":
-        if _proves(block, res.row_duals, lo, hi):
+        if _proves(base, res.row_duals, lo, hi):
             base.rays.insert(0, res.row_duals)
             del base.rays[_RAYS:]
         return LpSolution("infeasible", np.zeros(0), math.inf, res.iterations, 0.0, res.row_duals)
@@ -891,10 +919,10 @@ def solve(p, feasibility_only=False, start=None):
         return LpSolution("unbounded", np.zeros(0), -math.inf, res.iterations, 0.0, None)
 
     resid = 0.0
-    if block.A.shape[0]:
-        gap = block.A @ res.x - block.rhs
-        viol = np.where(block.is_le, np.maximum(gap, 0.0), np.abs(gap))
-        resid = float((viol / block.scale).max())
+    if base.A.shape[0]:
+        gap = base.A @ res.x - base.rhs
+        viol = np.where(base.is_le, np.maximum(gap, 0.0), np.abs(gap))
+        resid = float((viol / base.scale).max())
     if resid > FEAS_TOL:
         raise InvariantBroken(
             f"the simplex returned a point that breaks a row by {resid:.3g} "
@@ -905,7 +933,7 @@ def solve(p, feasibility_only=False, start=None):
     nb = p.n_binaries()
     x[:nb] = np.where(p.pins < 0, x[:nb], p.pins)
     x[nb:] *= p.traffic_scale  # the flows
-    frame = None if res.tableau is None else replace(block, tableau=res.tableau)
+    frame = None if res.tableau is None else _Frame(base.A, res.tableau)
     return LpSolution(
         "optimal", x, float(res.objective), res.iterations, resid, res.row_duals, frame,
         columns=p.variables,

@@ -173,7 +173,7 @@ def run_experiment(config: ExperimentConfig):
 
     Each factor's scaled scenario is built into an LP once, which every
     strategy and seed of the factor shares, and with it the LPs solved on it
-    (``loop._memo_solve``).  The loop opens on all_active's LP, and a loop
+    (``lp._memo_solve``).  The loop opens on all_active's LP, and a loop
     run draws from its seed only to repair, which a run that starts all-on
     at a fixed demand never does, so a later seed solves nothing.
     """

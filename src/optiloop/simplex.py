@@ -231,15 +231,16 @@ def _pivot_once(D, basis, col, row):
     basis[row] = col
 
 
-def _run_phase(D, z, n_enter, basis, is_artificial, cols, maxiter, iters, check_unbounded):
+def _run_phase(D, z, n_enter, basis, n_real, cols, maxiter, iters, check_unbounded):
     """Pivot until no column among the first ``n_enter``, those allowed to
     enter, can move off its bound at a negative reduced cost; ``z`` is the
-    phase's objective row.
+    phase's objective row.  The artificials are the columns from ``n_real``
+    on.
 
     Returns (status, iterations).  status is 'optimal' or 'unbounded'.
     """
     m = basis.size
-    ncols = is_artificial.size
+    ncols = D.shape[1] - 1
     rc = z[:n_enter]
     dirn = cols.dirn[:n_enter]
     rhs = D[:m, -1]
@@ -247,7 +248,7 @@ def _run_phase(D, z, n_enter, basis, is_artificial, cols, maxiter, iters, check_
     room = np.empty(m)
     ratios = np.empty(m)
     # Leaving key of each row, see Ratio ties; kept up to date per pivot.
-    key = np.where(is_artificial[basis], basis, basis + ncols)
+    key = np.where(basis >= n_real, basis, basis + ncols)
     bland_after = iters + 10 * (m + 20)
     while True:
         bland = iters > bland_after
@@ -285,7 +286,7 @@ def _run_phase(D, z, n_enter, basis, is_artificial, cols, maxiter, iters, check_
             # Bland: lowest basic index; else artificials first, then lowest index.
             row = int(near[(basis[near] if bland else key[near]).argmin()])
             cols.pivot(D, basis, col, row, up is not None and bool(up[row]))
-            key[row] = col if is_artificial[col] else col + ncols
+            key[row] = col if col >= n_real else col + ncols
         iters += 1
         if iters > maxiter:
             raise SolverStall(f"simplex exceeded {maxiter} iterations")
@@ -436,12 +437,8 @@ def _restart(t, c, A, b, is_le, lo, hi):
                 return None, iters
             gap = max(above, cols.lo[out] - value)
             return SimplexResult("infeasible", None, np.inf, y / t.scale, gap, iters), iters
-    is_artificial = np.zeros(ncols, dtype=bool)
-    is_artificial[n_real:] = True
     try:
-        status, iters = _run_phase(
-            D, D[m + 1], n_real, basis, is_artificial, cols, maxiter, iters, True
-        )
+        status, iters = _run_phase(D, D[m + 1], n_real, basis, n_real, cols, maxiter, iters, True)
     except SolverStall:
         return None, maxiter
     if status != "optimal":
@@ -528,8 +525,6 @@ def _cold(c, A, b, is_le, scale, feasibility_only, lo, hi):
     basis = np.empty(m, dtype=int)
     basis[le_rows] = slack_cols
     basis[art_rows] = art_cols
-    is_artificial = np.zeros(ncols, dtype=bool)
-    is_artificial[n_real:] = True
     # Every row holds either a slack or an artificial unit column, so the
     # row's dual is read off that column's reduced cost: the artificial's for
     # artificial rows, the slack's for the le rows that were not flipped.
@@ -551,9 +546,7 @@ def _cold(c, A, b, is_le, scale, feasibility_only, lo, hi):
     z2[:n] = c
     if at_lo:
         z2[-1] = -(c @ lo)
-    _, iters = _run_phase(
-        D, z1, ncols, basis, is_artificial, cols, maxiter, 0, check_unbounded=False
-    )
+    _, iters = _run_phase(D, z1, ncols, basis, n_real, cols, maxiter, 0, check_unbounded=False)
     phase1_obj = -z1[-1]
     t = _Tableau(D, basis, unit, art_rows, scale, flip, n_real, c, lo, hi, cols.upper)
 
@@ -575,14 +568,14 @@ def _cold(c, A, b, is_le, scale, feasibility_only, lo, hi):
     # columns alone, and their artificial stays basic at zero.
     movable = ~cols.fixed[:n_real]
     for i in range(m):
-        if is_artificial[basis[i]]:
+        if basis[i] >= n_real:
             cands = ((np.abs(D[i, :n_real]) > PIVOT_TOL) & movable).nonzero()[0]
             if cands.size:
                 cols.pivot(D, basis, int(cands[0]), i, False)
                 iters += 1
 
     status, iters = _run_phase(
-        D, z2, n_real, basis, is_artificial, cols, maxiter, iters, check_unbounded=True
+        D, z2, n_real, basis, n_real, cols, maxiter, iters, check_unbounded=True
     )
     if status == "unbounded":
         return SimplexResult("unbounded", None, -np.inf, None, phase1_obj, iters)

@@ -96,7 +96,7 @@ def test_all_active_counts_only_the_solves_it_makes(vepc):
     assert (first.stats["lp_solves"], again.stats["lp_solves"]) == (1, 0)
     assert again.energy == first.energy
     # A copy of the problem with a record of its own solves the LP again.
-    own = all_active(vepc, problem=dataclasses.replace(p, blocks={}))
+    own = all_active(vepc, problem=dataclasses.replace(p, constraints=tuple(p.constraints)))
     assert own.stats["lp_solves"] == 1 and own.energy == first.energy
 
 
@@ -356,7 +356,8 @@ def test_exact_skips_assignments_the_loop_proved_infeasible(monkeypatch):
     )
     assert shared.energy == alone.energy
     for q in screened:
-        assert lp.solve(dataclasses.replace(q, blocks={})).status == "infeasible"
+        fresh = dataclasses.replace(q, constraints=tuple(q.constraints))
+        assert lp.solve(fresh).status == "infeasible"
 
 
 def test_exact_golden_regression(vepc):

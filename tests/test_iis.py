@@ -120,7 +120,7 @@ def test_feasible_from_one_block_poses_each_subset_as_its_own_assembly(monkeypat
             for share in (0.3, 0.7, 0.95, 1.0):
                 rows = sorted(np.flatnonzero(rng.random(n) < share).tolist())
                 q = replace(fp, constraints=tuple(fp.constraints[r] for r in rows))
-                want = lp._assemble(q)
+                want = lp._base(q)
                 posed.clear()
                 verdicts.add(_feasible(fp, rows))
                 [(c_got, A_got, rhs_got, senses_got, lo_got, hi_got)] = posed

@@ -589,6 +589,45 @@ def test_infeasible_shutdown_guidance_raises(vepc, monkeypatch):
         save_energy(state)
 
 
+def test_infeasible_final_pinned_solve_raises(monkeypatch):
+    # The adopted probe's point with its relaxed active binaries raised to 1
+    # is feasible for the pinned LP of the binaries kept; that LP's solve
+    # failing breaks the loop instead of keeping the probe's flows.
+    state = start_loop(make_toy(0), seed=0)
+    p0 = state.base_problem
+    real_solve = lp.solve
+    finals = []
+
+    def spy_solve(p, **kwargs):
+        if (p.pins >= 0).all() and np.array_equal(p.objective, p0.objective):
+            finals.append(p)
+            return lp.LpSolution("infeasible", np.zeros(0), float("inf"))
+        return real_solve(p, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", spy_solve)
+    with pytest.raises(InvariantBroken, match="adopted shutdowns is infeasible"):
+        save_energy(state)
+    assert len(finals) == 1 and state.deactivations > 0
+
+
+def test_record_is_freed_with_its_problem_without_the_collector():
+    # The record keeps its starts, whose frames hold the dense rows ``A``
+    # and not the record, so no cycle runs through it: dropping the loop
+    # state, the problem and its copies frees it by reference counts alone.
+    s = make_toy(3)
+    p = lp.build_problem(s)
+    gc.collect()
+    gc.disable()
+    try:
+        state = run_loop(s, seed=0, rounds=2, problem=p)
+        record = weakref.ref(lp._base(p))
+        assert record().start.frame is not None and record().pinned_start is not None
+        del state, p
+        assert record() is None
+    finally:
+        gc.enable()
+
+
 def test_restarted_probes_agree_with_cold_solves(monkeypatch):
     # Every fresh solve after its base problem's first optimum restarts from
     # a frame of that problem's block, never falls back to the cold solve,
@@ -598,11 +637,12 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
     restarts = {"optimal": 0, "infeasible": 0}
     screened = []
     colds = []
-    solved = {}  # id -> block, of the blocks with an optimum so far
+    solved = {}  # id -> record, of the records with an optimum so far
     real_solve, real_cold, real_screen = lp.solve, simplex._cold, lp._screen
 
     def cold_solve(p, *args, **kwargs):
-        return real_solve(dataclasses.replace(p, blocks={}), *args, **kwargs)
+        fresh = dataclasses.replace(p, constraints=tuple(p.constraints))
+        return real_solve(fresh, *args, **kwargs)
 
     def spy_screen(p):
         sol = real_screen(p)
@@ -617,7 +657,7 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
         return real_cold(*args)
 
     def spy_solve(p, *args, start=None, **kwargs):
-        block = lp._assemble(p)
+        block = lp._base(p)
         if id(block) not in solved:
             sol = real_solve(p, *args, start=start, **kwargs)
             if sol.is_feasible:

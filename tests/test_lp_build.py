@@ -233,8 +233,8 @@ def _tableau_cells(p):
     constraint plus two objective rows; a column per problem column, per
     ``le`` slack and per artificial (``eq`` rows, and ``le`` rows whose rhs
     is negative once every column sits at its lower bound), plus the rhs.
-    Assembles on a copy with its own block cache."""
-    b = lp._assemble(dataclasses.replace(p, blocks={}))
+    Assembles on a copy with a record of its own."""
+    b = lp._base(dataclasses.replace(p, constraints=tuple(p.constraints)))
     lo, _ = lp._bounds(p)
     le = np.array(b.senses) == "le"
     cols = b.A.shape[1] + le.sum() + (~le | (b.rhs - b.A @ lo < 0)).sum() + 1
@@ -264,7 +264,7 @@ def test_cell_limit_never_undercounts_the_tableau(monkeypatch):
     for q in problems:
         monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", _tableau_cells(q) - 1)
         with pytest.raises(ShapeMismatch):
-            lp.solve(dataclasses.replace(q, blocks={}))
+            lp.solve(dataclasses.replace(q, constraints=tuple(q.constraints)))
         monkeypatch.undo()
 
 
@@ -284,7 +284,7 @@ def _layout_problems():
 def test_block_keeps_every_row_whatever_the_pins():
     blocks = set()
     for p in _layout_problems():
-        b = lp._assemble(p)
+        b = lp._base(p)
         blocks.add(id(b))
         assert b.A.shape == (len(p.constraints), p.n_vars())
         assert b.rhs.size == len(b.senses) == b.scale.size == len(p.constraints)
@@ -315,7 +315,7 @@ def test_block_poses_pins_as_column_bounds():
 
 def test_block_is_assembled_once_at_the_first_solve(monkeypatch):
     p = lp.build_problem(make_toy(0))
-    assert p.blocks == {}  # building assembles nothing
+    assert p.constraints.record is None  # building assembles nothing
     assembled = []
     real_add_at = np.add.at
 
@@ -325,20 +325,20 @@ def test_block_is_assembled_once_at_the_first_solve(monkeypatch):
 
     monkeypatch.setattr(lp.np.add, "at", spy_add_at)
     guide = lp.solve(p)
-    block = lp._assemble(p)
+    block = lp._base(p)
     y = np.arange(p.n_binaries())[p.layout["y"]][:2]
     q = lp._with_modes(p, {p.variables[col]: lp.fixed(0) for col in y.tolist()})
     probe = lp.solve(q, start=guide)
     pinned = lp.solve(_assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8)))
-    assert len(assembled) == 1 and list(p.blocks) == [id(p.constraints)]
-    assert q.blocks is p.blocks and lp._assemble(q) is block
-    # Each optimum's frame is the shared block with its own final tableau.
+    assert len(assembled) == 1 and p.constraints.record is block
+    assert q.constraints is p.constraints and lp._base(q) is block
+    # Each optimum's frame is the shared ``A`` with its own final tableau.
     for sol in (guide, probe, pinned):
         assert sol.frame.A is block.A and sol.frame.tableau is not None
-    assert block.tableau is None and probe.frame.tableau is not guide.frame.tableau
+    assert probe.frame.tableau is not guide.frame.tableau
     # A copy with another constraints tuple assembles its own block.
     copied = dataclasses.replace(q, constraints=tuple(list(q.constraints)))
-    assert lp._assemble(copied) is not block and len(assembled) == 2
+    assert lp._base(copied) is not block and len(assembled) == 2
 
 
 def test_infeasible_row_duals_prove_infeasibility_with_the_pins():
@@ -348,7 +348,7 @@ def test_infeasible_row_duals_prove_infeasibility_with_the_pins():
             q = _assignment_problem(p, np.ones(p.n_binaries(), dtype=np.int8))
             sol = lp.solve(q)
             assert sol.status == "infeasible"
-            b = lp._assemble(q)
+            b = lp._base(q)
             lo, hi = lp._bounds(q)
             y = sol.row_duals
             assert y.size == len(q.constraints)
@@ -366,7 +366,7 @@ def test_solve_raises_on_an_optimum_that_breaks_a_row(monkeypatch):
     # The simplex returns a point off an equality row; divided by the row's
     # largest coefficient, an offset beyond FEAS_TOL is refused.
     p = lp.build_problem(make_toy(0))
-    b = lp._assemble(p)
+    b = lp._base(p)
     lo, hi = lp._bounds(p)
     good = lp.solve_dense(p.objective, b.A, b.rhs, b.senses, lo=lo, hi=hi)
     row = int(np.flatnonzero(np.array(b.senses) == "eq")[0])
@@ -499,7 +499,7 @@ def _columns_sha256(p):
 
 
 def _block_sha256(p):
-    b = lp._assemble(p)
+    b = lp._base(p)
     h = hashlib.sha256()
     for part in (b.A.tobytes(), b.rhs.tobytes(), repr(b.senses).encode(), b.scale.tobytes()):
         h.update(part)

@@ -291,7 +291,7 @@ def _bound_row_form(p):
     pinned binaries folded into the right-hand sides, the relaxed ones kept
     as columns with an ``x <= 1`` row each.  Returns (c, A, b, senses,
     offset); the objective of ``p`` is that LP's plus ``offset``."""
-    block = lp._assemble(p)
+    block = lp._base(p)
     pins = p.pins.astype(float)
     free = np.ones(p.n_vars(), dtype=bool)
     free[: pins.size] = p.pins < 0
@@ -309,7 +309,7 @@ def _assert_same_lp_answer(p):
     the frozen kernel gets on the bound-row form; returns that status."""
     c, A, b, senses, offset = _bound_row_form(p)
     want = reference_simplex.solve_dense(c, A, b, senses)
-    block = lp._assemble(p)
+    block = lp._base(p)
     lo, hi = lp._bounds(p)
     got = solve_dense(p.objective, block.A, block.rhs, block.senses, lo=lo, hi=hi)
     assert got.status == want.status
@@ -514,7 +514,7 @@ def _restart_case():
     last three relaxed binaries lowered to 0: (c, A, b, senses, lo, hi,
     lowered hi, result)."""
     p = lp.build_problem(make_toy(0))
-    block = lp._assemble(p)
+    block = lp._base(p)
     lo, hi = lp._bounds(p)
     lowered = hi.copy()
     lowered[p.n_binaries() - 3 : p.n_binaries()] = 0.0
