@@ -51,16 +51,18 @@ class StrategyResult:
 def all_active(s, *, problem=None) -> StrategyResult:
     """Today's practice: every element on, flows routed by one LP solve.
 
-    ``problem`` is the built LP of ``s`` (built here when None).  The LP
-    goes through the record of the problem's solves (``lp._memo_solve``),
-    so it is solved once per built problem, and a loop run on the same
+    ``problem`` is the built LP of ``s`` (``lp.build_problem(s)`` when
+    None).  The LP's cold solve goes through the record of the problem's
+    solves (``lp._memo_solve`` with ``cold``), so it is solved once per
+    scenario, and not at all after ``initial_solution`` (so ``generate``'s
+    check) on ``s``, whatever else ran on it; a loop run on the same
     problem opens on that solve.
     """
     p = lp.build_problem(s) if problem is None else problem
     fresh = []
 
     def solve(q):
-        sol, solved = lp._memo_solve(q)
+        sol, solved = lp._memo_solve(q, cold=True)
         fresh.append(solved)
         return sol
 
@@ -80,13 +82,27 @@ def relaxed_bound(s) -> float:
     the relaxation, in half to two thirds of its time, and from 4x8 on
     fewer pivots too.
 
+    The all-on LP's cold solve goes through the record of the scenario's
+    problem (``lp._memo_solve`` with ``cold``), so on a scenario that
+    ``generate`` or ``initial_solution`` has checked it costs no solve:
+    while it is one of the record's starts, the memo returns it with its
+    frame.  Once later solves (a loop run's) have moved the starts on, the
+    memo holds it without a frame, and it is solved cold once more to
+    restart from, so the bound does not depend on what ran on ``s`` before.
+    The relaxation is solved with ``lp.solve``, which writes no start, so a
+    loop run on ``s`` afterwards restarts from the same optima as without
+    this call.
+
     The binaries only gate (rows of families 3 to 6), so raising every
     binary of a relaxed-feasible point to 1 keeps it feasible: the
     relaxation is feasible exactly when the all-on LP is, and an
     infeasible all-on LP raises InstanceInfeasible with no further solve.
     """
     p = lp.build_problem(s)
-    on = lp.solve(_all_on_problem(p))
+    q = _all_on_problem(p)
+    on, _ = lp._memo_solve(q, cold=True)
+    if on.status == "optimal" and on.frame is None:
+        on = lp.solve(q)
     sol = lp.solve(p, start=on) if on.status == "optimal" else on
     if sol.status != "optimal":
         raise InstanceInfeasible("relaxed problem infeasible")
@@ -183,8 +199,8 @@ def consolidation(s, *, problem=None) -> StrategyResult:
     active node with the most residual compute, else (3) onto the best node
     reachable over the full graph, activating the nodes and links of the
     connecting path.  Flows are then re-solved by one LP with the resulting
-    binaries pinned.  ``problem`` is the built LP of ``s`` (built here
-    when None).
+    binaries pinned.  ``problem`` is the built LP of ``s``
+    (``lp.build_problem(s)`` when None).
     """
     lg, pg = s.logical, s.physical
     active_nodes = set()
@@ -338,8 +354,8 @@ def exact_optimum(s, budget=200000, *, problem=None) -> StrategyResult:
 
     ``budget`` caps the number of LP-evaluated assignments; exceeding it
     raises BudgetExceeded carrying the best (non-exact) result so far.
-    ``problem`` is the built LP of ``s`` (built here when None).  Each LP
-    is solved through no memo, since an enumeration can pose ``budget`` of
+    ``problem`` is the built LP of ``s`` (``lp.build_problem(s)`` when
+    None).  Each LP is solved through no memo, since an enumeration can pose ``budget`` of
     them, and restarts from the previous optimum: assignments differ only
     in pinned binaries, so every restart is dual feasible.  An assignment
     whose box a Farkas ray held in the problem's record proves infeasible

@@ -40,13 +40,16 @@ Each round then runs two procedures:
 
 Every LP is its base problem with other pins and, for the guides,
 tie-break costs.  Every one goes through ``lp._memo_solve``, which solves
-each such LP once per built problem, however many runs share the problem,
-in the record the problem's rows hold (``lp._Base``).  An adopted probe's
+each such LP once per scenario, however many runs and calls share it, in
+the record of the scenario's one built problem (``lp._Base``).  An adopted probe's
 LP, met again as the next guide, a repeated shutdown phase and a repair
 round's opening check therefore cost no solve.  A fresh solve restarts from
 the problem's latest optimum (``lp.solve``'s ``start``): a shutdown guide
 widens the pinned LP before it, which a primal simplex continues, and a
 probe pins some of its guide's binaries to 0, which a dual simplex repairs.
+The all-on LP alone is taken as its cold solve (``lp._memo_solve``'s
+``cold``), so a run opens from the same optimum whatever ran on its
+scenario before.
 
 Probes with equal relaxed values run in column order (a stable sort).  All
 randomness comes from one seeded generator, so runs are bit-reproducible.
@@ -256,14 +259,20 @@ def initial_solution(s):
     """Feasible starting point with everything switched on.
 
     Raises InstanceInfeasible when even the all-on assignment admits no
-    flow routing, which condemns the instance as a whole.
+    flow routing, which condemns the instance as a whole.  The all-on LP's
+    cold solve goes through the record of the scenario's problem
+    (``lp._memo_solve`` with ``cold``), so a loop run or ``all_active`` on
+    ``s`` afterwards opens on this solve, and ``relaxed_bound`` restarts
+    from its frame.
     """
-    return _all_on_configuration(lp.build_problem(s), lp.solve)
+    return _all_on_configuration(
+        lp.build_problem(s), lambda q: lp._memo_solve(q, cold=True)[0]
+    )
 
 
-def _solve(state, phase, p, screen=False):
+def _solve(state, phase, p, screen=False, cold=False):
     """``lp._memo_solve``, counting a fresh solve for ``phase``."""
-    sol, fresh = lp._memo_solve(p, screen)
+    sol, fresh = lp._memo_solve(p, screen, cold)
     if fresh:
         state.count_solves(phase)
     return sol
@@ -271,7 +280,7 @@ def _solve(state, phase, p, screen=False):
 
 def start_loop(s, seed, *, problem=None):
     """A loop state holding the all-on configuration of ``s``; ``problem``
-    is the built LP of ``s`` (built here when None)."""
+    is the built LP of ``s`` (``lp.build_problem(s)`` when None)."""
     p = lp.build_problem(s) if problem is None else problem
     state = LoopState(
         scenario=s,
@@ -280,7 +289,7 @@ def start_loop(s, seed, *, problem=None):
         rng=np.random.default_rng(int(seed)),
         base_problem=p,
     )
-    state.current = _all_on_configuration(p, lambda q: _solve(state, "initial", q))
+    state.current = _all_on_configuration(p, lambda q: _solve(state, "initial", q, cold=True))
     _emit(state, "initial", energy_before=None, activated=[], deactivated=[])
     return state
 

@@ -32,8 +32,9 @@ other pins or another objective, can restart from it.  An infeasible one
 leaves its Farkas ray in the record, and ``_screen`` rejects with it,
 unsolved, any later LP whose box it covers.  ``_memo_solve`` solves each LP
 of a base problem once and restarts each fresh solve from the record's
-latest optima.  Only this module reads or writes the record's memo, starts
-and rays.
+latest optima, unless its caller asks for the LP's cold solve.  Only this
+module reads or writes the record's memo, starts and rays.  ``build_problem`` returns one problem per scenario object, so
+every call on a scenario shares one record.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
 records (kind -> column slice): ``x`` over the sorted links, then ``y`` over
@@ -55,6 +56,8 @@ objective is in watts throughout.
 
 import math
 import operator
+import threading
+import weakref
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
@@ -413,7 +416,35 @@ def _terms(cols, coefs):
     return held.sum(axis=-1).reshape(-1), cols[held], data[held]
 
 
+# Held by the check-then-make of a scenario's problem (``_BUILT``) and of a
+# base problem's record (``_Rows.record``), so threads whose first uses
+# overlap get one of each, and by ``_memo_solve``'s reads and writes of a
+# record's memo and starts.
+_LOCK = threading.Lock()
+
+# Scenario -> its problem.  ``Scenario`` is hashed by identity, and the
+# problem holds no reference to its scenario, so an entry goes with it.
+_BUILT = weakref.WeakKeyDictionary()
+
+
 def build_problem(s):
+    """The constraint system of a scenario, every binary relaxed (``_build``).
+
+    One problem per scenario object: built at the first call and the same
+    ``LpProblem`` returned for as long as the object lives, so every call on
+    the scenario shares one record (``_Base``): its dense rows, memo,
+    starts and rays.  A scenario is treated as immutable; a changed one,
+    such as ``scale_demand``'s result or a ``dataclasses.replace`` copy, is
+    another object with a problem of its own.
+    """
+    with _LOCK:
+        p = _BUILT.get(s)
+        if p is None:
+            p = _BUILT[s] = _build(s)
+    return p
+
+
+def _build(s):
     """Emit the constraint system for a scenario, every binary relaxed.
 
     Flow variables exist only for live commodities: a demanded first hop
@@ -752,11 +783,13 @@ class _Base:
     are not in them: ``solve`` passes them to the simplex as column bounds
     (``_bounds``), so an optimum's ``frame`` fits every LP of the record.
 
-    ``_memo_solve`` alone reads and writes ``memo``, ``start`` and
-    ``pinned_start``.  ``memo`` maps the bytes of an LP's pins and objective
-    to its solution without a frame; ``start`` is the latest fresh optimum
-    and ``pinned_start`` the latest one of an LP that pins every binary,
-    both with their frames.
+    ``_memo_solve`` alone reads and writes ``memo``, ``cold``, the starts
+    and their keys.  ``memo`` maps the bytes of an LP's pins and objective
+    (its key) to its latest fresh solution without a frame, and ``cold``
+    holds the keys whose entry a solve with no start made; ``start`` is the
+    latest fresh optimum and ``pinned_start`` the latest one of an LP that
+    pins every binary, both with their frames, and ``start_key`` and ``pinned_key`` are their
+    LPs' keys, so a memo hit on either LP returns the start with its frame.
 
     ``rays`` holds the row duals of the infeasible solves that prove their
     own LP's box infeasible (``_proves``), newest first, at most ``_RAYS``
@@ -771,23 +804,24 @@ class _Base:
     scale: np.ndarray
     is_le: np.ndarray
     memo: dict = field(default_factory=dict)
+    cold: set = field(default_factory=set)
     start: LpSolution = None
     pinned_start: LpSolution = None
+    start_key: tuple = None
+    pinned_key: tuple = None
     rays: list = field(default_factory=list)
 
 
 def _base(p):
     """The ``_Base`` of ``p``'s rows, made at its first use and kept on them
     (``_Rows.record``), so every copy of ``p`` that holds the same rows
-    shares it.
+    shares it; threads whose first uses overlap get one record.
 
-    Raises ShapeMismatch before allocating anything when the tableau that
-    ``solve_dense`` builds from the dense rows could exceed
-    ``DENSE_CELL_LIMIT``.
+    Raises ShapeMismatch, at every call and so before allocating anything
+    at the first, when the tableau that ``solve_dense`` builds from the
+    dense rows could exceed ``DENSE_CELL_LIMIT``.
     """
     rows = p.constraints
-    if rows.record is not None:
-        return rows.record
     m, n = len(rows), p.n_vars()
     # Tableau: the rows plus two objective rows, by the columns, at most a
     # slack and an artificial per row, and the rhs.
@@ -799,13 +833,15 @@ def _base(p):
             f"{DENSE_CELL_LIMIT}; plug an external LP solver in for instances of "
             "this scale"
         )
-    A = np.zeros((m, n))
-    np.add.at(A, (np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices), rows.data)
-    scale = np.abs(A).max(axis=1, initial=0.0)
-    scale[scale < 1e-12] = 1.0
-    is_le = np.array([sense == "le" for sense in rows.senses], dtype=bool)
-    rows.record = _Base(A, rows.rhs, rows.senses, scale, is_le)
-    return rows.record
+    with _LOCK:
+        if rows.record is None:
+            A = np.zeros((m, n))
+            np.add.at(A, (np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices), rows.data)
+            scale = np.abs(A).max(axis=1, initial=0.0)
+            scale[scale < 1e-12] = 1.0
+            is_le = np.array([sense == "le" for sense in rows.senses], dtype=bool)
+            rows.record = _Base(A, rows.rhs, rows.senses, scale, is_le)
+        return rows.record
 
 
 def _bounds(p):
@@ -844,14 +880,18 @@ def _screen(p):
     return None
 
 
-def _memo_solve(p, screen=False):
+def _memo_solve(p, screen=False, cold=False):
     """(solution of ``p``, whether it was solved now): an LP of a base
     problem is solved only the first time any copy of the problem meets it.
 
     The only code that reads or writes the memo and the starts of a base
-    problem's record (``_Base``).  With ``screen``, for a caller that
-    reads only the status, an LP that a ray of the record proves infeasible
-    (``_screen``) is not solved: that result goes into the memo as it
+    problem's record (``_Base``).  A hit returns the memo's solution
+    without a frame, or, when ``p`` is the LP of the record's
+    ``pinned_start`` or ``start``, that start with its frame, from which
+    the caller can restart another LP of the problem (``solve``'s
+    ``start``).  With ``screen``, for a caller that reads only the status,
+    an LP that a ray of the record proves infeasible (``_screen``) is not
+    solved: that result goes into the memo as it
     is, and counts as no solve.  A fresh solve of an LP that pins every
     binary restarts from the record's ``pinned_start`` and any other from
     its ``start`` (also a pinned one while there is no pinned start).  The
@@ -861,25 +901,45 @@ def _memo_solve(p, screen=False):
     every fractional binary out, on rows of that much denser tableau.  A
     fresh optimum becomes the start of its kind, so the record holds at
     most two frames; the memo keeps every solution without its frame.
+
+    A restart can end at another optimal vertex than a cold solve, or differ
+    from it in the last bits, so what a chain of restarts meets depends on
+    the chain.  With ``cold``, for a caller whose answer must not depend on
+    what ran on the problem before, the solution is the LP's cold solve: a
+    memo entry counts only when a solve with no start made it (``cold``
+    keys), and a fresh solve runs with no start.  The first fresh solve on
+    a record is cold either way.
     """
     base = _base(p)
     key = (p.pins.tobytes(), p.objective.tobytes())
-    sol = base.memo.get(key)
-    if sol is not None:
-        return sol, False
+    # A start and its key are read and written together under the lock, so
+    # a thread sharing the record never answers one LP with another's start.
+    with _LOCK:
+        sol = base.memo.get(key)
+        if sol is not None and (not cold or key in base.cold):
+            if key == base.pinned_key:
+                return base.pinned_start, False
+            if key == base.start_key:
+                return base.start, False
+            return sol, False
     if screen:
         sol = _screen(p)
         if sol is not None:
             base.memo[key] = sol
             return sol, False
     pinned = not (p.pins < 0).any()
-    start = base.pinned_start if pinned and base.pinned_start else base.start
+    start = None if cold else base.pinned_start if pinned and base.pinned_start else base.start
     sol = solve(p, start=start)
-    base.memo[key] = replace(sol, frame=None)
-    if sol.frame is not None:
-        base.start = sol
-        if pinned:
-            base.pinned_start = sol
+    with _LOCK:
+        base.memo[key] = replace(sol, frame=None)
+        if start is None:
+            base.cold.add(key)
+        else:  # another thread's cold solve of this LP may have come first
+            base.cold.discard(key)
+        if sol.frame is not None:
+            base.start, base.start_key = sol, key
+            if pinned:
+                base.pinned_start, base.pinned_key = sol, key
     return sol, True
 
 

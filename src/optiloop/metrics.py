@@ -11,8 +11,9 @@ One MetricsRow per (strategy, demand factor, seed).  Reported quantities:
   injected);
 * deployed instance counts per function, active element counts and the
   number of LP solves the strategy performed: in ``run_experiment`` a cell
-  whose LPs an earlier cell of its demand factor solved reports fewer, while
-  every other column is as if the cell ran alone.
+  whose LPs an earlier call on its scenario solved (an earlier cell of its
+  demand factor, or ``generate``'s check) reports fewer, while every other
+  column is as if the cell ran alone.
 
 CSV output is RFC 4180 (CRLF, fixed header) and byte-reproducible for a
 given configuration and seeds; wall-clock timing is therefore kept out of
@@ -23,7 +24,7 @@ import csv
 import time
 from dataclasses import dataclass
 
-from . import baselines, lp
+from . import baselines
 from .errors import BaselineMissing, ShapeMismatch
 from .model import spare_compute, total_ingress
 from .scenario import GeneratorParams, generate, load_scenario, scale_demand
@@ -149,18 +150,12 @@ class ExperimentConfig:
 
 
 # Strategy name -> (whether its result depends on the seed, runner taking
-# the scaled scenario, its built problem, the seed and the ExperimentConfig).
+# the scaled scenario, the seed and the ExperimentConfig).
 STRATEGIES = {
-    "all_active": (False, lambda s, p, seed, c: baselines.all_active(s, problem=p)),
-    "consolidation": (False, lambda s, p, seed, c: baselines.consolidation(s, problem=p)),
-    "optiloop": (
-        True,
-        lambda s, p, seed, c: baselines.optiloop_strategy(s, seed, c.rounds, problem=p),
-    ),
-    "exact": (
-        False,
-        lambda s, p, seed, c: baselines.exact_optimum(s, c.oracle_budget, problem=p),
-    ),
+    "all_active": (False, lambda s, seed, c: baselines.all_active(s)),
+    "consolidation": (False, lambda s, seed, c: baselines.consolidation(s)),
+    "optiloop": (True, lambda s, seed, c: baselines.optiloop_strategy(s, seed, c.rounds)),
+    "exact": (False, lambda s, seed, c: baselines.exact_optimum(s, c.oracle_budget)),
 }
 
 
@@ -171,11 +166,13 @@ def run_experiment(config: ExperimentConfig):
     order, independent of execution details.  When ``config.out`` is set the
     rows are also written as CSV.
 
-    Each factor's scaled scenario is built into an LP once, which every
-    strategy and seed of the factor shares, and with it the LPs solved on it
-    (``lp._memo_solve``).  The loop opens on all_active's LP, and a loop
-    run draws from its seed only to repair, which a run that starts all-on
-    at a fixed demand never does, so a later seed solves nothing.
+    Every strategy and seed of a factor runs on that factor's one scaled
+    scenario, so they share its built LP (``lp.build_problem``) and the LPs
+    solved on it (``lp._memo_solve``).  The loop opens on all_active's LP,
+    which at factor 1.0 of a generated scenario is ``generate``'s check,
+    so that cell solves nothing; and a loop run draws from its seed only
+    to repair, which a run that starts all-on at a fixed demand never does,
+    so a later seed solves nothing.
     """
     if not set(config.strategies) <= STRATEGIES.keys():
         raise ShapeMismatch(f"unknown strategy in {config.strategies!r}")
@@ -184,14 +181,13 @@ def run_experiment(config: ExperimentConfig):
     else:
         base = generate(config.generator or GeneratorParams())
 
-    scaled, problems = {}, {}
+    scaled = {}
     baseline_by_factor = {}
     cache = {}
     for f in config.factors:
         scaled[f] = scale_demand(base, f) if f != 1.0 else base
-        problems[f] = lp.build_problem(scaled[f])
         t0 = time.perf_counter()
-        baseline_by_factor[f] = baselines.all_active(scaled[f], problem=problems[f])
+        baseline_by_factor[f] = baselines.all_active(scaled[f])
         cache[("all_active", f)] = (baseline_by_factor[f], time.perf_counter() - t0)
 
     rows = []
@@ -204,7 +200,7 @@ def run_experiment(config: ExperimentConfig):
                     result, elapsed = cache[key]
                 else:
                     t0 = time.perf_counter()
-                    result = runner(scaled[f], problems[f], seed, config)
+                    result = runner(scaled[f], seed, config)
                     elapsed = time.perf_counter() - t0
                     cache[key] = (result, elapsed)
                 row = compute_metrics(

@@ -1,5 +1,6 @@
 """Benchmark strategies: closed forms, hand traces, the enumeration oracle."""
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -19,6 +20,7 @@ from optiloop.baselines import (
     relaxed_bound,
 )
 from optiloop.errors import BudgetExceeded, InstanceInfeasible
+from optiloop.loop import run_loop
 from optiloop.model import (
     EnergyModel,
     Link,
@@ -32,6 +34,7 @@ from optiloop.scenario import (
     GeneratorParams,
     configuration_to_dict,
     generate,
+    scale_demand,
     strategy_result_to_dict,
     vepc_two_node,
 )
@@ -114,7 +117,9 @@ def test_loop_after_all_active_opens_on_its_solve(caplog):
             shared = optiloop_strategy(s, 0, 3, problem=p)
         records = [json.loads(r.getMessage()) for r in caplog.records]
         assert [r["lp_solves"] for r in records if r["phase"] == "initial"] == [0], toy
-        alone = optiloop_strategy(s, 0, 3)
+        # A copy of the scenario is another object, with a build and a
+        # record of its own.
+        alone = optiloop_strategy(dataclasses.replace(s), 0, 3)
         assert shared.stats["lp_solves"] == alone.stats["lp_solves"] - 1, toy
         assert without_solves(shared) == without_solves(alone), toy
 
@@ -422,8 +427,10 @@ def _all_on_pinned(p):
 
 
 def test_relaxed_bound_restarts_from_the_all_on_optimum(monkeypatch):
-    """The bound is the cold relaxed root's objective, and the one cold
-    solve behind it is the all-on pinned LP: every binary column fixed."""
+    """The bound is the cold relaxed root's objective.  On a scenario not
+    solved yet the one cold solve behind it is the all-on pinned LP: every
+    binary column fixed.  A second call on the same scenario makes no cold
+    solve and returns the same bound, bit for bit."""
     calls = []  # (start, lo, hi) of each solve_dense call
 
     def spy(*args, real=lp.solve_dense, **kwargs):
@@ -434,8 +441,9 @@ def test_relaxed_bound_restarts_from_the_all_on_optimum(monkeypatch):
         p = lp.build_problem(s)
         cold = lp.solve(p)
         assert cold.status == "optimal"
+        fresh = dataclasses.replace(s)  # another object: a record of its own
         monkeypatch.setattr(lp, "solve_dense", spy)
-        bound = relaxed_bound(s)
+        bound = relaxed_bound(fresh)
         monkeypatch.undo()
         assert bound == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9)
         nb = p.n_binaries()
@@ -443,6 +451,12 @@ def test_relaxed_bound_restarts_from_the_all_on_optimum(monkeypatch):
         assert len(cold_calls) == 1
         lo, hi = cold_calls[0]
         assert (lo[:nb] == hi[:nb]).all()
+        calls.clear()
+        monkeypatch.setattr(lp, "solve_dense", spy)
+        again = relaxed_bound(fresh)
+        monkeypatch.undo()
+        assert [start for start, _, _ in calls if start is None] == []
+        assert again == bound
         calls.clear()
 
 
@@ -462,3 +476,53 @@ def test_relaxed_root_is_feasible_exactly_when_the_all_on_lp_is():
             with pytest.raises(InstanceInfeasible, match="^relaxed problem infeasible$"):
                 relaxed_bound(s)
     assert infeasible == len(starved)
+
+
+# ---------------------------------------------------------------------------
+# Calls sharing one scenario
+
+
+_CALLS = (
+    ("relaxed_bound", relaxed_bound),
+    ("exact", exact_optimum),
+    ("optiloop seed 0", lambda s: optiloop_strategy(s, 0, 3)),
+    ("optiloop seed 1", lambda s: optiloop_strategy(s, 1, 3)),
+    ("all_active", all_active),
+    ("consolidation", consolidation),
+)
+
+
+def _decided(call, s):
+    """The bound of ``call(s)``, or its configuration field for field and
+    its energy; "infeasible" when it raises InstanceInfeasible."""
+    try:
+        result = call(s)
+    except InstanceInfeasible:
+        return "infeasible"
+    if isinstance(result, float):
+        return result
+    return dataclasses.asdict(result.configuration), result.energy
+
+
+def test_results_do_not_depend_on_call_history():
+    """Every call on a scenario shares its built problem and the record of
+    its solves, and returns what the same call returns on a fresh copy of
+    the scenario, whichever calls ran on it before: the bound bit for bit.
+    The toys and the generated scenario come checked, so their all-on LP
+    is solved before the first call.  The bound and the baselines do so
+    on a scenario a loop run swapped to as well, whose record holds the
+    run's restarts; a loop run there meets them, so it is left out."""
+    instances = [make_toy(toy) for toy in range(12)]
+    instances.append(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1)))
+    for n, s in enumerate(instances):
+        alone = {name: _decided(call, dataclasses.replace(s)) for name, call in _CALLS}
+        for order in (_CALLS, _CALLS[::-1]):
+            for name, call in order:
+                assert _decided(call, s) == alone[name], (n, name, order[0][0])
+        shifted = scale_demand(s, 1.6)
+        with contextlib.suppress(InstanceInfeasible):
+            run_loop(s, 0, 3, scenario_hook=lambda r, state: shifted if r == 1 else None)
+        for name, call in _CALLS:
+            if not name.startswith("optiloop"):
+                want = _decided(call, dataclasses.replace(shifted))
+                assert _decided(call, shifted) == want, (n, name, "shifted")

@@ -3,12 +3,14 @@
 import dataclasses
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import single_vnf_scenario
+from corpus import make_toy
 from optiloop import lp
 from optiloop.loop import _all_on, _assignment_modes, initial_solution, run_loop
 from optiloop.model import (
@@ -93,7 +95,8 @@ def test_concurrent_solves_match_serial(vepc):
 
 def test_concurrent_first_reads_of_a_problem_agree():
     # A built problem makes its refs, rows and lookup tables at their first
-    # use, and threads may share it: every reader must see them whole.
+    # use, and threads may share it: every reader must see them whole.  Each
+    # iteration builds from a copy of the scenario, a problem not read yet.
     s = generate(GeneratorParams(n_endpoints=4, n_nodes=8, rng_seed=1))
     want = lp.build_problem(s)
     refs, rows = list(want.variables), list(want.constraints)
@@ -101,7 +104,7 @@ def test_concurrent_first_reads_of_a_problem_agree():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            p = lp.build_problem(s)
+            p = lp.build_problem(dataclasses.replace(s))
             start = threading.Barrier(8)
 
             def read(k):
@@ -122,6 +125,43 @@ def test_concurrent_first_reads_of_a_problem_agree():
             assert p.constraints.cids() == [con.cid for con in rows]
     finally:
         sys.setswitchinterval(old)
+
+
+def _at_once(use, n=8):
+    """The results of ``use()`` in ``n`` threads released together."""
+    start = threading.Barrier(n)
+
+    def run(_):
+        start.wait(timeout=60)
+        return use()
+
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        futures = [pool.submit(run, k) for k in range(n)]
+        return [future.result(timeout=60) for future in futures]
+
+
+def test_threads_meeting_a_scenario_first_share_its_problem_and_record(monkeypatch):
+    # Each thread's first use would make a problem, or a record, of its own
+    # were the check-then-make not held by a lock: a sleep in front of each
+    # make holds the window open.
+    real_build, real_add_at = lp._build, np.add.at
+
+    def slow_build(s):
+        time.sleep(0.05)
+        return real_build(s)
+
+    def slow_add_at(*args):
+        time.sleep(0.05)
+        return real_add_at(*args)
+
+    monkeypatch.setattr(lp, "_build", slow_build)
+    monkeypatch.setattr(lp.np.add, "at", slow_add_at)
+    p = lp.build_problem(dataclasses.replace(make_toy(0)))
+    records = _at_once(lambda: lp._base(p))
+    assert len({id(record) for record in records}) == 1 and p.constraints.record is records[0]
+    s = dataclasses.replace(make_toy(0))
+    problems = _at_once(lambda: lp.build_problem(s))
+    assert len({id(q) for q in problems}) == 1 and lp.build_problem(s) is problems[0]
 
 
 def test_concurrent_loops_are_independent(vepc):

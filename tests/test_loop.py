@@ -99,9 +99,10 @@ def test_initial_detects_doomed_instance():
 
 def test_noop_on_feasible_state_solves_once(vepc):
     # Right after start_loop the pinned check is the all-on LP already
-    # solved; on a problem of its own it is solved exactly once.
+    # solved; on a problem of its own, built from a copy of the scenario,
+    # it is solved exactly once.
     started = start_loop(vepc, seed=0)
-    fresh = _state_for(vepc, started.current)
+    fresh = _state_for(dataclasses.replace(vepc), started.current)
     for state, solves in ((started, 0), (fresh, 1)):
         cfg_before = state.current
         fix_problems(state)
@@ -551,7 +552,9 @@ def test_demand_swap_drops_the_old_problems_solutions():
         records.append(weakref.ref(lp._base(st.base_problem)))
         return scale_demand(s, 1.0 + r / 10)
 
-    state = run_loop(s, seed=0, rounds=4, scenario_hook=hook)
+    # The run's scenario is a copy that nothing else holds: a scenario
+    # keeps its problem and so its record, and ``s`` would keep the first.
+    state = run_loop(dataclasses.replace(s), seed=0, rounds=4, scenario_hook=hook)
     gc.collect()
     # Each swap built a new problem; nothing holds an old one's record.
     assert len(records) == 4 and all(ref() is None for ref in records)
@@ -612,9 +615,12 @@ def test_infeasible_final_pinned_solve_raises(monkeypatch):
 
 def test_record_is_freed_with_its_problem_without_the_collector():
     # The record keeps its starts, whose frames hold the dense rows ``A``
-    # and not the record, so no cycle runs through it: dropping the loop
-    # state, the problem and its copies frees it by reference counts alone.
-    s = make_toy(3)
+    # and not the record, and the problem holds no reference to its
+    # scenario, so no cycle runs through either: dropping the loop state,
+    # the problem and its copies, and the scenario, which keeps its
+    # problem, frees the record by reference counts alone.  The scenario is
+    # a copy of the toy, not solved yet, with a record of its own.
+    s = dataclasses.replace(make_toy(3))
     p = lp.build_problem(s)
     gc.collect()
     gc.disable()
@@ -622,7 +628,7 @@ def test_record_is_freed_with_its_problem_without_the_collector():
         state = run_loop(s, seed=0, rounds=2, problem=p)
         record = weakref.ref(lp._base(p))
         assert record().start.frame is not None and record().pinned_start is not None
-        del state, p
+        del state, p, s
         assert record() is None
     finally:
         gc.enable()
@@ -691,8 +697,13 @@ def test_restarted_probes_agree_with_cold_solves(monkeypatch):
                     problems.append(state.base_problem)
                     return scale_demand(s, factor) if factor and r == 1 else None
 
+                # A copy of the scenario, not solved yet, with a record of
+                # its own, as every run had before scenarios kept their
+                # problems.
                 with contextlib.suppress(InstanceInfeasible):
-                    state = run_loop(s, seed=seed, rounds=3, scenario_hook=hook)
+                    state = run_loop(
+                        dataclasses.replace(s), seed=seed, rounds=3, scenario_hook=hook
+                    )
                     problems.append(state.base_problem)
                 # Each problem's record holds at most two frames, its
                 # starts'; every memo entry is frameless.

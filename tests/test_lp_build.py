@@ -314,7 +314,8 @@ def test_block_poses_pins_as_column_bounds():
 
 
 def test_block_is_assembled_once_at_the_first_solve(monkeypatch):
-    p = lp.build_problem(make_toy(0))
+    # ``make_toy`` solved its toy's all-on LP; a copy has a build of its own.
+    p = lp.build_problem(dataclasses.replace(make_toy(0)))
     assert p.constraints.record is None  # building assembles nothing
     assembled = []
     real_add_at = np.add.at

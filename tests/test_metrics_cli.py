@@ -141,7 +141,10 @@ def test_experiment_runs_all_active_once_per_factor(tmp_path, monkeypatch):
     assert [(r.demand_factor, r.seed) for r in rows] == [
         (f, seed) for f in (0.5, 1.0, 2.0) for seed in (0, 1)
     ]
-    assert all(r.lp_solves == 1 and r.savings_vs_all_active == 0.0 for r in rows)
+    # At factor 1.0 the scenario is the generated one, whose all-on LP
+    # ``generate`` solved to check it.
+    assert [r.lp_solves for r in rows] == [1, 1, 0, 0, 1, 1]
+    assert all(r.savings_vs_all_active == 0.0 for r in rows)
 
 
 def test_shared_problem_and_memo_change_no_decision(tmp_path):
@@ -165,7 +168,12 @@ def test_shared_problem_and_memo_change_no_decision(tmp_path):
         for row in rows:
             f = row.demand_factor
             s = scale_demand(base, f) if f != 1.0 else base
-            want = compute_metrics(s, alone[row.strategy](s, row.seed), all_active(s), f, row.seed)
+            # A copy of the scenario is another object, with a problem and
+            # a record of its own, so each call here runs alone.
+            fresh = dataclasses.replace(s)
+            want = compute_metrics(
+                s, alone[row.strategy](fresh, row.seed), all_active(dataclasses.replace(s)), f, row.seed
+            )
             assert dataclasses.replace(row, lp_solves=0, wall_time=0.0) == dataclasses.replace(
                 want, lp_solves=0
             ), (toy, row.strategy, f, row.seed)
@@ -176,7 +184,7 @@ def test_shared_problem_and_memo_change_no_decision(tmp_path):
 def test_experiment_solve_counts_match_solver_calls(tmp_path, monkeypatch):
     """Under each strategy call the dense solves equal the result's
     ``lp_solves``, and under each loop run its ``total_solves()``; each
-    demand factor's LP is built once."""
+    demand factor's LP is built once, factor 1.0's by generate's check."""
     dense = [0]
 
     def spy_dense(*args, real=lp.solve_dense, **kwargs):
@@ -187,11 +195,11 @@ def test_experiment_solve_counts_match_solver_calls(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "solve_dense", spy_dense)
     builds = []
 
-    def spy_build(s, real=lp.build_problem):
+    def spy_build(s, real=lp._build):
         builds.append(s)
         return real(s)
 
-    monkeypatch.setattr(lp, "build_problem", spy_build)
+    monkeypatch.setattr(lp, "_build", spy_build)
     calls = []
     for name in ("all_active", "consolidation", "optiloop_strategy", "exact_optimum"):
 
@@ -221,7 +229,7 @@ def test_experiment_solve_counts_match_solver_calls(tmp_path, monkeypatch):
     assert [(made, reported) for _, made, reported in calls if made != reported] == []
     assert len(loops) == n_factors * n_seeds
     assert [(made, reported) for made, reported in loops if made != reported] == []
-    assert len(builds) == n_factors + 1  # plus generate's validation build
+    assert len(builds) == n_factors and len({id(s) for s in builds}) == n_factors
     assert [r.lp_solves for r in rows if r.strategy == "optiloop" and r.seed == 1] == [0] * 3
 
 

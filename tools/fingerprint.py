@@ -8,10 +8,17 @@ Imports optiloop from ``<checkout>/src`` and the toy instances from
 SHA-256 over their decisions followed by the total number of LP solves the
 control loop made.  Two checkouts decide identically when the hashes match.
 The hash leaves out every ``lp_solves`` count, so a change that only saves
-solves keeps the hash and shows on the second line.  That total includes
-the optiloop rows' ``lp_solves`` of the CLI sweep below, whose cells of one
-demand factor share one built LP and so its solves: a row counts only the
-solves no earlier cell of its factor made (0 on the second seed's rows).
+solves keeps the hash and shows on the second line.  ``lp.build_problem``
+keeps one problem per scenario object, and every call on the scenario
+shares that problem's record of solves, so a run counts only the solves no
+earlier call on its scenario made.  That total includes the optiloop rows'
+``lp_solves`` of the CLI sweep below, whose cells of one demand factor run
+on one scenario (0 on the second seed's rows).  The toy runs of one toy
+share one scenario object across loop seeds and shifts, and ``make_toy``
+has already solved its all-on LP, so their ``initial`` phases count 0 and
+a later run counts only the LPs no earlier run met; against a checkout
+that built a problem per call, the second, fifth and sixth lines fall and
+the others stay.
 
 Given two checkouts, it runs each in its own subprocess
 (``fingerprint.py --json <checkout>``, which prints the seven lines and each
