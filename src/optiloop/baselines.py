@@ -52,17 +52,16 @@ def all_active(s, *, problem=None) -> StrategyResult:
     """Today's practice: every element on, flows routed by one LP solve.
 
     ``problem`` is the built LP of ``s`` (``lp.build_problem(s)`` when
-    None).  The LP's cold solve goes through the record of the problem's
-    solves (``lp._memo_solve`` with ``cold``), so it is solved once per
-    scenario, and not at all after ``initial_solution`` (so ``generate``'s
-    check) on ``s``, whatever else ran on it; a loop run on the same
-    problem opens on that solve.
+    None).  The LP goes through the record of the problem's solves
+    (``lp._memo_solve``), so it is solved once per scenario, and not at all
+    after ``initial_solution`` (so ``generate``'s check) on ``s``; a loop
+    run on the same problem opens on that solve.
     """
     p = lp.build_problem(s) if problem is None else problem
     fresh = []
 
     def solve(q):
-        sol, solved = lp._memo_solve(q, cold=True)
+        sol, solved = lp._memo_solve(q)
         fresh.append(solved)
         return sol
 
@@ -82,13 +81,12 @@ def relaxed_bound(s) -> float:
     the relaxation, in half to two thirds of its time, and from 4x8 on
     fewer pivots too.
 
-    The all-on LP's cold solve goes through the record of the scenario's
-    problem (``lp._memo_solve`` with ``cold``), so on a scenario that
-    ``generate`` or ``initial_solution`` has checked it costs no solve:
-    while it is one of the record's starts, the memo returns it with its
-    frame.  Once later solves (a loop run's) have moved the starts on, the
-    memo holds it without a frame, and it is solved cold once more to
-    restart from, so the bound does not depend on what ran on ``s`` before.
+    The all-on LP goes through the record of the scenario's problem
+    (``lp._memo_solve``), so on a scenario that ``generate`` or
+    ``initial_solution`` has checked it costs no solve: while it is one of
+    the record's starts, the memo returns it with its frame.  Once later
+    solves (a loop run's) have moved the starts on, the memo holds it
+    without a frame, and it is solved once more, cold, to restart from.
     The relaxation is solved with ``lp.solve``, which writes no start, so a
     loop run on ``s`` afterwards restarts from the same optima as without
     this call.
@@ -100,7 +98,7 @@ def relaxed_bound(s) -> float:
     """
     p = lp.build_problem(s)
     q = _all_on_problem(p)
-    on, _ = lp._memo_solve(q, cold=True)
+    on, _ = lp._memo_solve(q)
     if on.status == "optimal" and on.frame is None:
         on = lp.solve(q)
     sol = lp.solve(p, start=on) if on.status == "optimal" else on

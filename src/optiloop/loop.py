@@ -41,15 +41,13 @@ Each round then runs two procedures:
 Every LP is its base problem with other pins and, for the guides,
 tie-break costs.  Every one goes through ``lp._memo_solve``, which solves
 each such LP once per scenario, however many runs and calls share it, in
-the record of the scenario's one built problem (``lp._Base``).  An adopted probe's
-LP, met again as the next guide, a repeated shutdown phase and a repair
+the record of the scenario's one built problem (``lp._Base``); a scenario
+that ``run_loop``'s hook swaps in gets a problem and a record for that run
+alone.  An adopted probe's LP, met again as the next guide, a repeated shutdown phase and a repair
 round's opening check therefore cost no solve.  A fresh solve restarts from
 the problem's latest optimum (``lp.solve``'s ``start``): a shutdown guide
 widens the pinned LP before it, which a primal simplex continues, and a
 probe pins some of its guide's binaries to 0, which a dual simplex repairs.
-The all-on LP alone is taken as its cold solve (``lp._memo_solve``'s
-``cold``), so a run opens from the same optimum whatever ran on its
-scenario before.
 
 Probes with equal relaxed values run in column order (a stable sort).  All
 randomness comes from one seeded generator, so runs are bit-reproducible.
@@ -259,20 +257,18 @@ def initial_solution(s):
     """Feasible starting point with everything switched on.
 
     Raises InstanceInfeasible when even the all-on assignment admits no
-    flow routing, which condemns the instance as a whole.  The all-on LP's
-    cold solve goes through the record of the scenario's problem
-    (``lp._memo_solve`` with ``cold``), so a loop run or ``all_active`` on
-    ``s`` afterwards opens on this solve, and ``relaxed_bound`` restarts
-    from its frame.
+    flow routing, which condemns the instance as a whole.  The all-on LP
+    goes through the record of the scenario's problem (``lp._memo_solve``),
+    so a loop run or ``all_active`` on ``s`` afterwards opens on this
+    solve, and ``relaxed_bound`` restarts from its frame, which a memo hit
+    returns while it is the record's start.
     """
-    return _all_on_configuration(
-        lp.build_problem(s), lambda q: lp._memo_solve(q, cold=True)[0]
-    )
+    return _all_on_configuration(lp.build_problem(s), lambda q: lp._memo_solve(q)[0])
 
 
-def _solve(state, phase, p, screen=False, cold=False):
+def _solve(state, phase, p, screen=False):
     """``lp._memo_solve``, counting a fresh solve for ``phase``."""
-    sol, fresh = lp._memo_solve(p, screen, cold)
+    sol, fresh = lp._memo_solve(p, screen)
     if fresh:
         state.count_solves(phase)
     return sol
@@ -289,7 +285,7 @@ def start_loop(s, seed, *, problem=None):
         rng=np.random.default_rng(int(seed)),
         base_problem=p,
     )
-    state.current = _all_on_configuration(p, lambda q: _solve(state, "initial", q, cold=True))
+    state.current = _all_on_configuration(p, lambda q: _solve(state, "initial", q))
     _emit(state, "initial", energy_before=None, activated=[], deactivated=[])
     return state
 
@@ -483,7 +479,10 @@ def run_loop(s, seed, rounds, scenario_hook=None, *, problem=None):
     ``scenario_hook(round_index, state)`` may return a replacement Scenario
     (e.g. with rescaled demand) that takes effect before that round's
     repair phase.  The current configuration is re-validated at every
-    phase boundary.  ``problem`` is passed to ``start_loop``.
+    phase boundary.  ``problem`` is passed to ``start_loop``.  A
+    replacement's problem is built for this run alone (``lp._build``, not
+    ``lp.build_problem``), so the run's solves on it stay out of the record
+    that later calls on that scenario share.
     """
     state = start_loop(s, seed, problem=problem)
     _check_invariant(state)
@@ -493,7 +492,7 @@ def run_loop(s, seed, rounds, scenario_hook=None, *, problem=None):
             swapped = scenario_hook(r, state)
             if swapped is not None and swapped is not state.scenario:
                 state.scenario = swapped
-                state.base_problem = lp.build_problem(swapped)
+                state.base_problem = lp._build(swapped)
         fix_problems(state)
         _check_invariant(state)
         save_energy(state)

@@ -32,8 +32,8 @@ other pins or another objective, can restart from it.  An infeasible one
 leaves its Farkas ray in the record, and ``_screen`` rejects with it,
 unsolved, any later LP whose box it covers.  ``_memo_solve`` solves each LP
 of a base problem once and restarts each fresh solve from the record's
-latest optima, unless its caller asks for the LP's cold solve.  Only this
-module reads or writes the record's memo, starts and rays.  ``build_problem`` returns one problem per scenario object, so
+latest optima.  Only this module reads or writes the record's memo, starts
+and rays.  ``build_problem`` returns one problem per scenario object, so
 every call on a scenario shares one record.
 
 The columns open with the binaries, in a fixed layout that ``LpProblem.layout``
@@ -416,10 +416,11 @@ def _terms(cols, coefs):
     return held.sum(axis=-1).reshape(-1), cols[held], data[held]
 
 
-# Held by the check-then-make of a scenario's problem (``_BUILT``) and of a
-# base problem's record (``_Rows.record``), so threads whose first uses
-# overlap get one of each, and by ``_memo_solve``'s reads and writes of a
-# record's memo and starts.
+# Held by the check-then-set that publishes a scenario's problem
+# (``_BUILT``) and a base problem's record (``_Rows.record``), so threads
+# whose first uses overlap get one of each, and by ``_memo_solve``'s reads
+# and writes of a record's starts with their keys.  Nothing is built or
+# assembled under it.
 _LOCK = threading.Lock()
 
 # Scenario -> its problem.  ``Scenario`` is hashed by identity, and the
@@ -435,12 +436,14 @@ def build_problem(s):
     the scenario shares one record (``_Base``): its dense rows, memo,
     starts and rays.  A scenario is treated as immutable; a changed one,
     such as ``scale_demand``'s result or a ``dataclasses.replace`` copy, is
-    another object with a problem of its own.
+    another object with a problem of its own.  Threads that build one
+    scenario's problem at once all get the first one stored.
     """
-    with _LOCK:
-        p = _BUILT.get(s)
-        if p is None:
-            p = _BUILT[s] = _build(s)
+    p = _BUILT.get(s)
+    if p is None:
+        p = _build(s)
+        with _LOCK:
+            p = _BUILT.setdefault(s, p)
     return p
 
 
@@ -783,12 +786,11 @@ class _Base:
     are not in them: ``solve`` passes them to the simplex as column bounds
     (``_bounds``), so an optimum's ``frame`` fits every LP of the record.
 
-    ``_memo_solve`` alone reads and writes ``memo``, ``cold``, the starts
-    and their keys.  ``memo`` maps the bytes of an LP's pins and objective
-    (its key) to its latest fresh solution without a frame, and ``cold``
-    holds the keys whose entry a solve with no start made; ``start`` is the
-    latest fresh optimum and ``pinned_start`` the latest one of an LP that
-    pins every binary, both with their frames, and ``start_key`` and ``pinned_key`` are their
+    ``_memo_solve`` alone reads and writes ``memo``, the starts and their
+    keys.  ``memo`` maps the bytes of an LP's pins and objective (its key)
+    to its solution without a frame; ``start`` is the latest fresh optimum
+    and ``pinned_start`` the latest one of an LP that pins every binary,
+    both with their frames, and ``start_key`` and ``pinned_key`` are their
     LPs' keys, so a memo hit on either LP returns the start with its frame.
 
     ``rays`` holds the row duals of the infeasible solves that prove their
@@ -804,7 +806,6 @@ class _Base:
     scale: np.ndarray
     is_le: np.ndarray
     memo: dict = field(default_factory=dict)
-    cold: set = field(default_factory=set)
     start: LpSolution = None
     pinned_start: LpSolution = None
     start_key: tuple = None
@@ -822,6 +823,7 @@ def _base(p):
     dense rows could exceed ``DENSE_CELL_LIMIT``.
     """
     rows = p.constraints
+    record = rows.record
     m, n = len(rows), p.n_vars()
     # Tableau: the rows plus two objective rows, by the columns, at most a
     # slack and an artificial per row, and the rhs.
@@ -833,14 +835,17 @@ def _base(p):
             f"{DENSE_CELL_LIMIT}; plug an external LP solver in for instances of "
             "this scale"
         )
+    if record is not None:
+        return record
+    A = np.zeros((m, n))
+    np.add.at(A, (np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices), rows.data)
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    scale[scale < 1e-12] = 1.0
+    is_le = np.array([sense == "le" for sense in rows.senses], dtype=bool)
+    record = _Base(A, rows.rhs, rows.senses, scale, is_le)
     with _LOCK:
         if rows.record is None:
-            A = np.zeros((m, n))
-            np.add.at(A, (np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices), rows.data)
-            scale = np.abs(A).max(axis=1, initial=0.0)
-            scale[scale < 1e-12] = 1.0
-            is_le = np.array([sense == "le" for sense in rows.senses], dtype=bool)
-            rows.record = _Base(A, rows.rhs, rows.senses, scale, is_le)
+            rows.record = record
         return rows.record
 
 
@@ -880,7 +885,7 @@ def _screen(p):
     return None
 
 
-def _memo_solve(p, screen=False, cold=False):
+def _memo_solve(p, screen=False):
     """(solution of ``p``, whether it was solved now): an LP of a base
     problem is solved only the first time any copy of the problem meets it.
 
@@ -901,14 +906,6 @@ def _memo_solve(p, screen=False, cold=False):
     every fractional binary out, on rows of that much denser tableau.  A
     fresh optimum becomes the start of its kind, so the record holds at
     most two frames; the memo keeps every solution without its frame.
-
-    A restart can end at another optimal vertex than a cold solve, or differ
-    from it in the last bits, so what a chain of restarts meets depends on
-    the chain.  With ``cold``, for a caller whose answer must not depend on
-    what ran on the problem before, the solution is the LP's cold solve: a
-    memo entry counts only when a solve with no start made it (``cold``
-    keys), and a fresh solve runs with no start.  The first fresh solve on
-    a record is cold either way.
     """
     base = _base(p)
     key = (p.pins.tobytes(), p.objective.tobytes())
@@ -916,7 +913,7 @@ def _memo_solve(p, screen=False, cold=False):
     # a thread sharing the record never answers one LP with another's start.
     with _LOCK:
         sol = base.memo.get(key)
-        if sol is not None and (not cold or key in base.cold):
+        if sol is not None:
             if key == base.pinned_key:
                 return base.pinned_start, False
             if key == base.start_key:
@@ -928,14 +925,10 @@ def _memo_solve(p, screen=False, cold=False):
             base.memo[key] = sol
             return sol, False
     pinned = not (p.pins < 0).any()
-    start = None if cold else base.pinned_start if pinned and base.pinned_start else base.start
+    start = base.pinned_start if pinned and base.pinned_start else base.start
     sol = solve(p, start=start)
     with _LOCK:
         base.memo[key] = replace(sol, frame=None)
-        if start is None:
-            base.cold.add(key)
-        else:  # another thread's cold solve of this LP may have come first
-            base.cold.discard(key)
         if sol.frame is not None:
             base.start, base.start_key = sol, key
             if pinned:

@@ -509,9 +509,9 @@ def test_results_do_not_depend_on_call_history():
     its solves, and returns what the same call returns on a fresh copy of
     the scenario, whichever calls ran on it before: the bound bit for bit.
     The toys and the generated scenario come checked, so their all-on LP
-    is solved before the first call.  The bound and the baselines do so
-    on a scenario a loop run swapped to as well, whose record holds the
-    run's restarts; a loop run there meets them, so it is left out."""
+    is solved before the first call.  Every call does so on a scenario that
+    a loop run swapped to as well, since that run solved on a problem of its
+    own."""
     instances = [make_toy(toy) for toy in range(12)]
     instances.append(generate(GeneratorParams(n_endpoints=2, n_nodes=4, rng_seed=1)))
     for n, s in enumerate(instances):
@@ -519,10 +519,10 @@ def test_results_do_not_depend_on_call_history():
         for order in (_CALLS, _CALLS[::-1]):
             for name, call in order:
                 assert _decided(call, s) == alone[name], (n, name, order[0][0])
-        shifted = scale_demand(s, 1.6)
-        with contextlib.suppress(InstanceInfeasible):
-            run_loop(s, 0, 3, scenario_hook=lambda r, state: shifted if r == 1 else None)
-        for name, call in _CALLS:
-            if not name.startswith("optiloop"):
+        for factor in (1.6, 3.0):
+            shifted = scale_demand(s, factor)
+            with contextlib.suppress(InstanceInfeasible):
+                run_loop(s, 0, 3, scenario_hook=lambda r, state: shifted if r == 1 else None)
+            for name, call in _CALLS:
                 want = _decided(call, dataclasses.replace(shifted))
-                assert _decided(call, shifted) == want, (n, name, "shifted")
+                assert _decided(call, shifted) == want, (n, name, factor)

@@ -141,9 +141,9 @@ def _at_once(use, n=8):
 
 
 def test_threads_meeting_a_scenario_first_share_its_problem_and_record(monkeypatch):
-    # Each thread's first use would make a problem, or a record, of its own
-    # were the check-then-make not held by a lock: a sleep in front of each
-    # make holds the window open.
+    # Each thread's first use makes a problem, or a record, of its own, and
+    # all of them must get the one stored first, which a check-then-set under
+    # a lock publishes: a sleep in front of each make holds the window open.
     real_build, real_add_at = lp._build, np.add.at
 
     def slow_build(s):
